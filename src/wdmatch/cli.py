@@ -34,7 +34,6 @@ def _build_parser() -> _Parser:
     p_fit = sub.add_parser("fit", help="train on the full datasets of a config")
     p_fit.add_argument("--config", required=True, help="experiment config JSON")
     p_fit.add_argument("--out", required=True, help="where to write the model JSON")
-    p_fit.add_argument("--seed", type=int, default=None, help="override config seed")
     p_fit.add_argument("--standardize", action="store_true",
                        help="standardize features jointly over both domains")
     p_fit.add_argument("--trace", default=None, metavar="PATH",
@@ -71,12 +70,10 @@ def _build_parser() -> _Parser:
 
 def _cmd_fit(args) -> int:
     config = load_experiment_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     if args.standardize:
         config = dataclasses.replace(config, standardize=True)
     source, target = resolve_datasets(config)
-    state = fit(source, target, config.hp, seed=config.seed)
+    state = fit(source, target, config.hp)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -121,14 +118,15 @@ def _cmd_synth(args) -> int:
     spec = load_synthetic_spec(args.spec)
     source, target = generate_synthetic_pair(spec)
     prefix = Path(args.out_prefix)
+    suffix = ".svm" if args.format == "sparse-svmlight" else ".csv"
     if args.out_prefix.endswith(("/", "\\")) or prefix.is_dir():
         prefix.mkdir(parents=True, exist_ok=True)
-        source_path = prefix / "source.csv"
-        target_path = prefix / "target.csv"
+        source_path = prefix / ("source" + suffix)
+        target_path = prefix / ("target" + suffix)
     else:
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        source_path = prefix.parent / (prefix.name + "source.csv")
-        target_path = prefix.parent / (prefix.name + "target.csv")
+        source_path = prefix.parent / (prefix.name + "source" + suffix)
+        target_path = prefix.parent / (prefix.name + "target" + suffix)
     save_dataset(source, source_path, args.format)
     save_dataset(target, target_path, args.format)
     print(f"synth: wrote {source_path} and {target_path}")
@@ -167,9 +165,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 2
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .data import (
 )
 from .errors import ConfigError, ValidationError
 from .model import HyperParams, classify_target, hinge_losses
-from .optimizer import fit
+from .optimizer import fit, halving_descent
 
 PROPOSED = "proposed"
 SOURCE_ONLY = "source-only"
@@ -54,7 +54,7 @@ def train_hinge_classifier(
 ) -> np.ndarray:
     """Linear classifier minimizing the plain hinge sum by subgradient descent.
 
-    Uses the same halving line search as the main solver; serves as the
+    Uses the main solver's :func:`halving_descent`; serves as the
     source-only and target-only comparison anchors.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -63,23 +63,15 @@ def train_hinge_classifier(
         raise ValidationError("training set must be a non-empty matrix")
     if features.shape[0] != labels.size:
         raise ValidationError("feature/label count mismatch")
-    w = np.zeros(features.shape[1])
-    value = float(hinge_losses(features @ w, labels).sum())
-    for _ in range(iters):
-        slack = 1.0 - labels * (features @ w)
-        grad = -(features.T @ ((slack >= 0.0) * labels))
-        if np.max(np.abs(grad)) == 0.0:
-            break
-        step = rho
-        while True:
-            cand = w - step * grad
-            cand_value = float(hinge_losses(features @ cand, labels).sum())
-            if cand_value <= value:
-                w, value = cand, cand_value
-                break
-            step *= 0.5
-            if step < 1e-12:
-                return w
+
+    def value(params):
+        return float(hinge_losses(features @ params[0], labels).sum())
+
+    def gradient(params):
+        slack = 1.0 - labels * (features @ params[0])
+        return (-(features.T @ ((slack >= 0.0) * labels)),)
+
+    (w,) = halving_descent(value, gradient, (np.zeros(features.shape[1]),), iters, rho)
     return w
 
 

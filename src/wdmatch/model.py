@@ -9,14 +9,18 @@ corrections u = phi - theta'w and v = psi - theta'w are derived, never stored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import DomainDataset
 from .errors import ValidationError
-from .neighborhood import NeighborhoodGraph, reconstruction_residuals
+from .neighborhood import (
+    NeighborhoodGraph,
+    reconstruction_operator,
+    reconstruction_residuals,
+)
 
 _ORTH_TOL = 1e-8
 
@@ -289,14 +293,52 @@ class ObjectiveTerms:
         }
 
 
+@dataclass(frozen=True)
+class Problem:
+    """The data of one fit that stays fixed while its blocks alternate.
+
+    Built once from the two datasets, the hyperparameters and both
+    neighborhood graphs; validated on construction. It carries the target
+    residual matrix of the response-smoothness term, the smoothness block
+    ``2 c2 (I - W)'(I - W)`` of the instance-weight QP, the raw target feature
+    mean and the labeled target rows. The dense ``I - W`` exists only while
+    the smoothness block is formed.
+    """
+
+    source: DomainDataset
+    target: DomainDataset
+    hp: HyperParams
+    source_graph: NeighborhoodGraph
+    target_graph: NeighborhoodGraph
+    residuals: np.ndarray = field(init=False)
+    smoothness: np.ndarray = field(init=False)
+    target_mean: np.ndarray = field(init=False)
+    labeled_target: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        source, target = self.source, self.target
+        if self.source_graph is None or self.target_graph is None:
+            raise ValidationError("a problem requires both neighborhood graphs")
+        if self.source_graph.n != source.n or self.target_graph.n != target.n:
+            raise ValidationError("graph sizes do not match the datasets")
+        if source.dim != target.dim:
+            raise ValidationError("source and target dimensions differ")
+        if not source.is_fully_labeled():
+            raise ValidationError("source domain must be fully labeled")
+        operator = reconstruction_operator(self.source_graph)
+        smoothness = 2.0 * self.hp.c2 * (operator.T @ operator)
+        residuals = reconstruction_residuals(target.features, self.target_graph)
+        target_mean = target.features.mean(axis=0)
+        for arr in (residuals, smoothness, target_mean):
+            arr.flags.writeable = False
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "smoothness", smoothness)
+        object.__setattr__(self, "target_mean", target_mean)
+        object.__setattr__(self, "labeled_target", target.labeled_features)
+
+
 def objective(
-    model: TransferModel,
-    weights: SourceWeights,
-    source: DomainDataset,
-    target: DomainDataset,
-    source_graph: NeighborhoodGraph,
-    target_graph: NeighborhoodGraph,
-    hp: HyperParams,
+    model: TransferModel, weights: SourceWeights, problem: Problem
 ) -> ObjectiveTerms:
     """Evaluate the full training objective, term by term.
 
@@ -304,22 +346,16 @@ def objective(
     hinge runs over the labeled block only; the response-smoothness penalty
     runs over every target point.
     """
-    if source_graph is None or target_graph is None:
-        raise ValidationError("objective requires both neighborhood graphs")
-    if source_graph.n != source.n or target_graph.n != target.n:
-        raise ValidationError("graph sizes do not match the datasets")
-    if source.dim != model.m or target.dim != model.m:
+    source, target, hp = problem.source, problem.target, problem.hp
+    if source.dim != model.m:
         raise ValidationError("dataset dimension does not match the model")
-    if not source.is_fully_labeled():
-        raise ValidationError("source domain must be fully labeled")
     if weights.n != source.n:
         raise ValidationError("weight vector length does not match the source")
 
     src_losses = hinge_losses(classify_source(model, source.features), source.labels)
     source_hinge = float(weights.pi @ src_losses)
 
-    n3 = target.labeled_count
-    tgt_scores = classify_target(model, target.features[:n3])
+    tgt_scores = classify_target(model, problem.labeled_target)
     target_hinge = float(hinge_losses(tgt_scores, target.labels).sum())
 
     shared = model.theta.T @ model.w
@@ -327,12 +363,13 @@ def objective(
     dv = model.psi - shared
     adaptation = 0.5 * hp.c1 * float(du @ du + dv @ dv)
 
+    graph = problem.source_graph
     pi_gap = weights.pi - np.einsum(
-        "nk,nk->n", source_graph.weights, weights.pi[source_graph.neighbors]
+        "nk,nk->n", graph.weights, weights.pi[graph.neighbors]
     )
     weight_smoothness = hp.c2 * float(pi_gap @ pi_gap)
 
-    response_gap = reconstruction_residuals(target.features, target_graph) @ model.psi
+    response_gap = problem.residuals @ model.psi
     response_smoothness = hp.c2 * float(response_gap @ response_gap)
 
     mean_matching = hp.c3 * matching_distance(model.theta, source, weights, target)

@@ -3,8 +3,9 @@
 One outer iteration updates the blocks in a fixed order: subgradient descent
 on the effective classifiers (phi, psi), the closed-form shared classifier w,
 the spectral update of the projection rows (which re-solves w, since w is a
-function of the projection), and finally the instance-weight QP. Every exact
-block update is a descent step, so the recorded objective trace never
+function of the projection), and finally the instance-weight QP. Every block
+reads the fit's fixed data from one :class:`~wdmatch.model.Problem`. Every
+exact block update is a descent step, so the recorded objective trace never
 increases.
 """
 
@@ -20,17 +21,13 @@ from .errors import ConvergenceError, ValidationError
 from .model import (
     HyperParams,
     ObjectiveTerms,
+    Problem,
     SourceWeights,
     TransferModel,
     hinge_losses,
     objective,
 )
-from .neighborhood import (
-    NeighborhoodGraph,
-    build_graph,
-    reconstruction_operator,
-    reconstruction_residuals,
-)
+from .neighborhood import build_graph
 from .qp import BoxEqQP, solve_qp
 
 logger = logging.getLogger(__name__)
@@ -64,6 +61,44 @@ class OptState:
         object.__setattr__(self, "objective_trace", trace)
         object.__setattr__(self, "substeps", tuple(self.substeps))
         object.__setattr__(self, "term_trace", tuple(self.term_trace))
+
+
+def halving_descent(value, gradient, params: tuple, iters: int, rho: float) -> tuple:
+    """Subgradient descent with a halving line search on the step.
+
+    ``params`` is a tuple of arrays; ``value(params)`` is the objective and
+    ``gradient(params)`` the matching tuple of subgradients. Each of the
+    ``iters`` steps starts from ``rho`` and halves until the objective stops
+    increasing. Descent ends early at a zero subgradient, or when the step
+    falls below 1e-12 without descent (a stationary point).
+    """
+    current = value(params)
+    for _ in range(iters):
+        grads = gradient(params)
+        if max(np.max(np.abs(g)) for g in grads) == 0.0:
+            break
+        step = rho
+        while True:
+            cand = tuple(p - step * g for p, g in zip(params, grads))
+            cand_value = value(cand)
+            if cand_value <= current:
+                params, current = cand, cand_value
+                break
+            step *= 0.5
+            if step < _STEP_FLOOR:
+                return params
+    return params
+
+
+def _sign_rows(rows: np.ndarray) -> np.ndarray:
+    """Flip rows in place so each first non-negligible component is positive."""
+    for i in range(rows.shape[0]):
+        for component in rows[i]:
+            if abs(component) > 1e-12:
+                if component < 0.0:
+                    rows[i] = -rows[i]
+                break
+    return rows
 
 
 def solve_w(theta: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -134,90 +169,56 @@ def min_trace_rows(terms, m: int, r: int) -> np.ndarray:
             vectors.append(cand)
             values.append(0.0)
     order = np.argsort(np.asarray(values), kind="stable")[:r]
-    rows = np.array([vectors[i] for i in order])
-    for i in range(r):
-        for component in rows[i]:
-            if abs(component) > 1e-12:
-                if component < 0.0:
-                    rows[i] = -rows[i]
-                break
-    return rows
+    return _sign_rows(np.array([vectors[i] for i in order]))
 
 
-def solve_theta(
-    phi: np.ndarray,
-    psi: np.ndarray,
-    source: DomainDataset,
-    target: DomainDataset,
-    weights: SourceWeights,
-    hp: HyperParams,
-) -> np.ndarray:
+def solve_theta(problem: Problem, phi, psi, weights: SourceWeights) -> np.ndarray:
     """Projection update: smallest-eigenvalue rows of the rank-2 trace matrix.
 
     The matrix combines -c1/4 times the outer product of phi + psi with c3/2
     times the outer product of the raw-feature mean gap between the weighted
     source and the target.
     """
+    source, hp = problem.source, problem.hp
     m = source.dim
     combined = np.asarray(phi, dtype=np.float64) + np.asarray(psi, dtype=np.float64)
-    mean_gap = (
-        source.features.T @ weights.pi / source.n - target.features.mean(axis=0)
-    )
+    mean_gap = source.features.T @ weights.pi / source.n - problem.target_mean
     terms = [(-hp.c1 / 4.0, combined), (hp.c3 / 2.0, mean_gap)]
     return min_trace_rows(terms, m, hp.resolved_r(m))
 
 
-def q_value(
-    phi,
-    psi,
-    theta,
-    w,
-    source: DomainDataset,
-    target: DomainDataset,
-    weights: SourceWeights,
-    hp: HyperParams,
-    residuals: np.ndarray,
-) -> float:
-    """The (phi, psi) block objective: both hinges, coupling, response term."""
-    src_hinge = float(
-        weights.pi @ hinge_losses(source.features @ phi, source.labels)
-    )
-    n3 = target.labeled_count
+def q_value(problem: Problem, phi, psi, shared, pi) -> float:
+    """The (phi, psi) block objective: both hinges, coupling, response term.
+
+    ``shared`` is theta'w and ``pi`` the instance weights, both held fixed
+    during the block.
+    """
+    source, target, hp = problem.source, problem.target, problem.hp
+    src_hinge = float(pi @ hinge_losses(source.features @ phi, source.labels))
     tgt_hinge = float(
-        hinge_losses(target.features[:n3] @ psi, target.labels).sum()
+        hinge_losses(problem.labeled_target @ psi, target.labels).sum()
     )
-    shared = theta.T @ w
     du = phi - shared
     dv = psi - shared
     coupling = 0.5 * hp.c1 * float(du @ du + dv @ dv)
-    response = residuals @ psi
+    response = problem.residuals @ psi
     return src_hinge + tgt_hinge + coupling + hp.c2 * float(response @ response)
 
 
-def subgradients(
-    phi,
-    psi,
-    theta,
-    w,
-    source: DomainDataset,
-    target: DomainDataset,
-    weights: SourceWeights,
-    hp: HyperParams,
-    residuals: np.ndarray,
-):
+def subgradients(problem: Problem, phi, psi, shared, pi):
     """Subgradients of the (phi, psi) block objective.
 
     A hinge counts as active when its margin slack is >= 0, boundary
     included.
     """
-    shared = theta.T @ w
+    source, target, hp = problem.source, problem.target, problem.hp
+    residuals = problem.residuals
     slack_s = 1.0 - source.labels * (source.features @ phi)
     active_s = slack_s >= 0.0
-    g_phi = -(source.features.T @ (active_s * source.labels * weights.pi))
+    g_phi = -(source.features.T @ (active_s * source.labels * pi))
     g_phi += hp.c1 * (phi - shared)
 
-    n3 = target.labeled_count
-    labeled = target.features[:n3]
+    labeled = problem.labeled_target
     slack_t = 1.0 - target.labels * (labeled @ psi)
     active_t = slack_t >= 0.0
     g_psi = -(labeled.T @ (active_t * target.labels))
@@ -226,78 +227,46 @@ def subgradients(
     return g_phi, g_psi
 
 
-def update_phi_psi(
-    phi,
-    psi,
-    theta,
-    w,
-    source: DomainDataset,
-    target: DomainDataset,
-    weights: SourceWeights,
-    hp: HyperParams,
-    residuals: np.ndarray,
-):
-    """Run the subgradient block with a halving line search on the step.
+def update_phi_psi(problem: Problem, phi, psi, shared, pi):
+    """Run the subgradient block with :func:`halving_descent`.
 
-    Each of the ``hp.subgrad_iters`` steps starts from ``hp.rho`` and halves
-    until the block objective stops increasing; if the step floor is reached
-    without descent the pair is returned unchanged (stationary point).
+    The step budget and initial step are ``hp.subgrad_iters`` and ``hp.rho``;
+    at a stationary point the pair is returned unchanged.
     """
+    hp = problem.hp
     phi = np.array(phi, dtype=np.float64, copy=True)
     psi = np.array(psi, dtype=np.float64, copy=True)
-    args = (theta, w, source, target, weights, hp, residuals)
-    value = q_value(phi, psi, *args)
-    for _ in range(hp.subgrad_iters):
-        g_phi, g_psi = subgradients(phi, psi, *args)
-        if max(np.max(np.abs(g_phi)), np.max(np.abs(g_psi))) == 0.0:
-            break
-        step = hp.rho
-        while True:
-            cand_phi = phi - step * g_phi
-            cand_psi = psi - step * g_psi
-            cand_value = q_value(cand_phi, cand_psi, *args)
-            if cand_value <= value:
-                phi, psi, value = cand_phi, cand_psi, cand_value
-                break
-            step *= 0.5
-            if step < _STEP_FLOOR:
-                return phi, psi
-    return phi, psi
+    return halving_descent(
+        lambda p: q_value(problem, *p, shared, pi),
+        lambda p: subgradients(problem, *p, shared, pi),
+        (phi, psi),
+        hp.subgrad_iters,
+        hp.rho,
+    )
 
 
-def solve_pi(
-    theta,
-    phi,
-    source: DomainDataset,
-    target: DomainDataset,
-    weights: SourceWeights,
-    source_graph: NeighborhoodGraph,
-    hp: HyperParams,
-    operator: np.ndarray | None = None,
-) -> SourceWeights:
+def solve_pi(problem: Problem, theta, phi, weights: SourceWeights) -> SourceWeights:
     """Instance-weight update as a box/sum QP, warm-started at the incumbent.
 
-    The quadratic term combines the smoothness operator with the projected
-    source Gram matrix; the linear term carries the current hinge losses and
-    the pull toward the target mean.
+    The quadratic term adds the projected source Gram matrix to the fixed
+    smoothness block; the linear term carries the current hinge losses and the
+    pull toward the target mean.
     """
+    source, hp = problem.source, problem.hp
     n1 = source.n
     losses = hinge_losses(source.features @ phi, source.labels)
-    if operator is None:
-        operator = reconstruction_operator(source_graph)
-    hess = 2.0 * hp.c2 * (operator.T @ operator)
     projected = source.features @ np.asarray(theta).T  # n1 x r
-    hess += (hp.c3 / n1**2) * (projected @ projected.T)
-    mu_t = np.asarray(theta) @ target.features.mean(axis=0)
+    hess = problem.smoothness + (hp.c3 / n1**2) * (projected @ projected.T)
+    mu_t = np.asarray(theta) @ problem.target_mean
     lin = losses - (hp.c3 / n1) * (projected @ mu_t)
-    problem = BoxEqQP(
+    qp = BoxEqQP(
         hess=hess,
         lin=lin,
         lower=np.zeros(n1),
         upper=np.full(n1, hp.delta),
         eq_target=float(n1),
     )
-    solution = solve_qp(problem, start=weights.pi)
+    solution = solve_qp(qp, start=weights.pi)
     logger.debug("pi update finished in %d QP iterations", solution.iterations)
     return SourceWeights(solution.x, hp.delta)
 
@@ -307,30 +276,36 @@ def initial_theta(source: DomainDataset, target: DomainDataset, r: int) -> np.nd
     pooled = np.vstack([source.features, target.features])
     centered = pooled - pooled.mean(axis=0)
     _, evecs = np.linalg.eigh(centered.T @ centered)
-    rows = evecs[:, ::-1][:, :r].T.copy()
-    for i in range(r):
-        for component in rows[i]:
-            if abs(component) > 1e-12:
-                if component < 0.0:
-                    rows[i] = -rows[i]
-                break
-    return rows
+    return _sign_rows(evecs[:, ::-1][:, :r].T.copy())
+
+
+def _orthonormal_gap(theta: np.ndarray) -> float:
+    return float(np.max(np.abs(theta @ theta.T - np.eye(theta.shape[0]))))
+
+
+def _bound_gap(weights: SourceWeights) -> float:
+    return float(
+        max(
+            np.max(np.maximum(-weights.pi, 0.0)),
+            np.max(np.maximum(weights.pi - weights.delta, 0.0)),
+        )
+    )
+
+
+def _sum_gap(weights: SourceWeights) -> float:
+    return float(abs(weights.pi.sum() - weights.n))
 
 
 def fit(
     source: DomainDataset,
     target: DomainDataset,
     hp: HyperParams | None = None,
-    seed: int = 0,
 ) -> OptState:
     """Train the transfer model by alternating block minimization.
 
     The loop stops after ``hp.outer_iters`` iterations or once the relative
-    objective change drops below ``hp.tol``. The procedure is deterministic;
-    ``seed`` is accepted for interface stability but nothing here draws
-    random numbers.
+    objective change drops below ``hp.tol``. The procedure is deterministic.
     """
-    del seed
     hp = HyperParams() if hp is None else hp
     if not isinstance(source, DomainDataset) or not isinstance(target, DomainDataset):
         raise ValidationError("fit expects DomainDataset inputs")
@@ -346,106 +321,66 @@ def fit(
     m = source.dim
     r = hp.resolved_r(m)
 
-    source_graph = build_graph(source, hp.k)
-    target_graph = build_graph(target, hp.k)
-    residuals = reconstruction_residuals(target.features, target_graph)
-    operator = reconstruction_operator(source_graph)
+    problem = Problem(
+        source, target, hp, build_graph(source, hp.k), build_graph(target, hp.k)
+    )
 
     theta = initial_theta(source, target, r)
     phi = np.zeros(m)
     psi = np.zeros(m)
     w = solve_w(theta, phi, psi)
     weights = SourceWeights.uniform(source.n, hp.delta)
+    substeps = []
 
-    def evaluate(theta_, w_, phi_, psi_, weights_) -> ObjectiveTerms:
-        model_ = TransferModel(theta_, w_, phi_, psi_)
-        return objective(
-            model_, weights_, source, target, source_graph, target_graph, hp
-        )
+    def evaluate() -> ObjectiveTerms:
+        return objective(TransferModel(theta, w, phi, psi), weights, problem)
 
-    def residual_entry(iteration, terms_, theta_, weights_):
+    def residual_entry(iteration, terms_):
         return {
             "iteration": iteration,
             **terms_.as_dict(),
-            "orthonormal_gap": float(np.max(np.abs(theta_ @ theta_.T - np.eye(r)))),
-            "pi_bound_gap": float(
-                max(
-                    np.max(np.maximum(-weights_.pi, 0.0)),
-                    np.max(np.maximum(weights_.pi - hp.delta, 0.0)),
-                )
-            ),
-            "pi_sum_gap": float(abs(weights_.pi.sum() - source.n)),
+            "orthonormal_gap": _orthonormal_gap(theta),
+            "pi_bound_gap": _bound_gap(weights),
+            "pi_sum_gap": _sum_gap(weights),
         }
 
-    terms = evaluate(theta, w, phi, psi, weights)
+    def record(iteration, step, before, after, **extra):
+        substeps.append(
+            {"iteration": iteration, "step": step, "before": before,
+             "after": after, **extra}
+        )
+        return after
+
+    terms = evaluate()
     trace = [terms.total]
-    term_trace = [residual_entry(0, terms, theta, weights)]
-    substeps = []
+    term_trace = [residual_entry(0, terms)]
     completed = 0
     try:
         for iteration in range(1, hp.outer_iters + 1):
             current = trace[-1]
 
-            phi, psi = update_phi_psi(
-                phi, psi, theta, w, source, target, weights, hp, residuals
-            )
-            after = evaluate(theta, w, phi, psi, weights).total
-            substeps.append(
-                {"iteration": iteration, "step": "phi_psi", "before": current,
-                 "after": after}
-            )
-            current = after
+            phi, psi = update_phi_psi(problem, phi, psi, theta.T @ w, weights.pi)
+            current = record(iteration, "phi_psi", current, evaluate().total)
 
             w = solve_w(theta, phi, psi)
-            after = evaluate(theta, w, phi, psi, weights).total
-            substeps.append(
-                {"iteration": iteration, "step": "w", "before": current,
-                 "after": after}
-            )
-            current = after
+            current = record(iteration, "w", current, evaluate().total)
 
             # The projection step owns its induced w re-solve: the spectral
             # problem is derived with w eliminated, so monotonicity is only
             # guaranteed for the (theta, w) pair.
-            theta = solve_theta(phi, psi, source, target, weights, hp)
+            theta = solve_theta(problem, phi, psi, weights)
             w = solve_w(theta, phi, psi)
-            after = evaluate(theta, w, phi, psi, weights).total
-            substeps.append(
-                {"iteration": iteration, "step": "theta", "before": current,
-                 "after": after,
-                 "orthonormal_gap": float(
-                     np.max(np.abs(theta @ theta.T - np.eye(r)))
-                 )}
-            )
-            current = after
+            current = record(iteration, "theta", current, evaluate().total,
+                             orthonormal_gap=_orthonormal_gap(theta))
 
-            w = solve_w(theta, phi, psi)
-            after = evaluate(theta, w, phi, psi, weights).total
-            substeps.append(
-                {"iteration": iteration, "step": "w", "before": current,
-                 "after": after}
-            )
-            current = after
-
-            weights = solve_pi(
-                theta, phi, source, target, weights, source_graph, hp, operator
-            )
-            terms = evaluate(theta, w, phi, psi, weights)
-            after = terms.total
-            substeps.append(
-                {"iteration": iteration, "step": "pi", "before": current,
-                 "after": after,
-                 "bound_gap": float(
-                     max(
-                         np.max(np.maximum(-weights.pi, 0.0)),
-                         np.max(np.maximum(weights.pi - hp.delta, 0.0)),
-                     )
-                 ),
-                 "sum_gap": float(abs(weights.pi.sum() - source.n))}
-            )
+            weights = solve_pi(problem, theta, phi, weights)
+            terms = evaluate()
+            after = record(iteration, "pi", current, terms.total,
+                           bound_gap=_bound_gap(weights),
+                           sum_gap=_sum_gap(weights))
 
             trace.append(after)
-            term_trace.append(residual_entry(iteration, terms, theta, weights))
+            term_trace.append(residual_entry(iteration, terms))
             completed = iteration
             previous = trace[-2]
             if abs(previous - after) < hp.tol * max(1.0, abs(previous)):

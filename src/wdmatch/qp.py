@@ -329,7 +329,8 @@ def projected_gradient_oracle(
 
     Exists solely to cross-validate :func:`solve_qp` in tests; it trades speed
     for transparency. When ``step_size`` is omitted the inverse of the largest
-    Hessian eigenvalue is used.
+    Hessian eigenvalue is used. Iteration stops early at an exact fixed point,
+    where every further step would return the same iterate.
     """
     if step_size is None:
         top = float(np.max(np.linalg.eigvalsh(problem.hess), initial=0.0))
@@ -337,7 +338,10 @@ def projected_gradient_oracle(
     x = _interior_start(problem)
     for _ in range(steps):
         grad = problem.hess @ x + problem.lin
-        x = project_feasible(
+        nxt = project_feasible(
             x - step_size * grad, problem.lower, problem.upper, problem.eq_target
         )
+        if np.array_equal(nxt, x):
+            break
+        x = nxt
     return x

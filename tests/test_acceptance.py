@@ -179,8 +179,8 @@ def test_criterion_4_reconstruction_oracle():
 
 def test_criterion_5_subgradient_finite_differences():
     from wdmatch.data import DomainDataset
-    from wdmatch.model import SourceWeights
-    from wdmatch.neighborhood import build_graph, reconstruction_residuals
+    from wdmatch.model import Problem, SourceWeights
+    from wdmatch.neighborhood import build_graph
 
     checked = 0
     seed = 0
@@ -212,20 +212,24 @@ def test_criterion_5_subgradient_finite_differences():
         hp = HyperParams(
             c1=float(rng.uniform(0.2, 2.0)), c2=float(rng.uniform(0.2, 2.0))
         )
-        residuals = reconstruction_residuals(
-            target.features, build_graph(target, min(3, n2 - 1))
+        problem = Problem(
+            source, target, hp,
+            build_graph(source, min(3, n1 - 1)), build_graph(target, min(3, n2 - 1)),
         )
-        args = (theta, w, source, target, weights, hp, residuals)
-        g_phi, g_psi = subgradients(phi, psi, *args)
+        fixed = (theta.T @ w, weights.pi)
+        g_phi, g_psi = subgradients(problem, phi, psi, *fixed)
         h = 1e-6
         for which, grad in (("phi", g_phi), ("psi", g_psi)):
             for i in range(m):
                 e = np.zeros(m)
                 e[i] = h
                 if which == "phi":
-                    fd = (q_value(phi + e, psi, *args) - q_value(phi - e, psi, *args)) / (2 * h)
+                    up = q_value(problem, phi + e, psi, *fixed)
+                    dn = q_value(problem, phi - e, psi, *fixed)
                 else:
-                    fd = (q_value(phi, psi + e, *args) - q_value(phi, psi - e, *args)) / (2 * h)
+                    up = q_value(problem, phi, psi + e, *fixed)
+                    dn = q_value(problem, phi, psi - e, *fixed)
+                fd = (up - dn) / (2 * h)
                 rel = abs(fd - grad[i]) / max(1.0, abs(fd))
                 worst_rel = max(worst_rel, rel)
     ok = worst_rel <= 1e-5

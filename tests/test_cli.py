@@ -114,6 +114,21 @@ class TestSynthCommand:
         assert (tmp_path / "run1_source.csv").is_file()
         assert (tmp_path / "run1_target.csv").is_file()
 
+    def test_sparse_format_writes_svm_files(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"dim": 3, "n": 12, "separation": 2.0, "seed": 4}))
+        outdir = tmp_path / "gen"
+        code = main([
+            "synth", "--spec", str(spec), "--out-prefix", str(outdir) + "/",
+            "--format", "sparse-svmlight",
+        ])
+        assert code == 0
+        assert sorted(p.name for p in outdir.iterdir()) == ["source.svm", "target.svm"]
+        source = load_dataset(outdir / "source.svm", "sparse-svmlight", n_features=3)
+        target = load_dataset(outdir / "target.svm", "sparse-svmlight", n_features=3)
+        assert source.n == target.n == 12
+        assert source.is_fully_labeled()
+
 
 class TestDumpGraphCommand:
     def test_graph_dump(self, tmp_path):

@@ -7,6 +7,7 @@ from wdmatch.data import DomainDataset
 from wdmatch.errors import ValidationError
 from wdmatch.model import (
     HyperParams,
+    Problem,
     SourceWeights,
     TransferModel,
     classify_source,
@@ -258,7 +259,8 @@ class TestObjective:
         m, r = source.dim, 2
         theta = np.eye(m)[:r]
         model = TransferModel(theta, np.zeros(r), np.zeros(m), np.zeros(m))
-        terms = objective(model, weights, source, target, *graphs, HyperParams())
+        problem = Problem(source, target, HyperParams(), *graphs)
+        terms = objective(model, weights, problem)
         assert terms.source_hinge == pytest.approx(weights.pi.sum())
         assert terms.target_hinge == pytest.approx(target.labeled_count)
         assert terms.adaptation == 0.0
@@ -267,7 +269,7 @@ class TestObjective:
     def test_zero_tradeoffs_leave_pure_hinge(self):
         source, target, model, weights, graphs = random_instance(22)
         hp = HyperParams(c1=0.0, c2=0.0, c3=0.0)
-        terms = objective(model, weights, source, target, *graphs, hp)
+        terms = objective(model, weights, Problem(source, target, hp, *graphs))
         assert terms.adaptation == 0.0
         assert terms.weight_smoothness == 0.0
         assert terms.response_smoothness == 0.0
@@ -277,7 +279,7 @@ class TestObjective:
     def test_matches_straightforward_recomputation(self):
         source, target, model, weights, graphs = random_instance(23)
         hp = HyperParams(c1=0.7, c2=1.3, c3=2.1)
-        terms = objective(model, weights, source, target, *graphs, hp)
+        terms = objective(model, weights, Problem(source, target, hp, *graphs))
 
         # Independent loop-based recomputation of every term.
         src_hinge = sum(
@@ -318,7 +320,8 @@ class TestObjective:
     def test_total_is_sum_and_terms_nonnegative(self):
         for seed in range(5):
             source, target, model, weights, graphs = random_instance(30 + seed)
-            terms = objective(model, weights, source, target, *graphs, HyperParams())
+            problem = Problem(source, target, HyperParams(), *graphs)
+            terms = objective(model, weights, problem)
             values = [
                 terms.source_hinge, terms.target_hinge, terms.adaptation,
                 terms.weight_smoothness, terms.response_smoothness, terms.mean_matching,
@@ -328,11 +331,14 @@ class TestObjective:
 
     def test_pure_function(self):
         source, target, model, weights, graphs = random_instance(41)
-        a = objective(model, weights, source, target, *graphs, HyperParams())
-        b = objective(model, weights, source, target, *graphs, HyperParams())
+        problem = Problem(source, target, HyperParams(), *graphs)
+        a = objective(model, weights, problem)
+        b = objective(model, weights, problem)
         assert a == b
 
     def test_missing_graph_rejected(self):
         source, target, model, weights, graphs = random_instance(42)
         with pytest.raises(ValidationError):
-            objective(model, weights, source, target, None, graphs[1], HyperParams())
+            objective(
+                model, weights, Problem(source, target, HyperParams(), None, graphs[1])
+            )

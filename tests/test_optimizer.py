@@ -11,13 +11,14 @@ from wdmatch.evaluate import (
 from wdmatch.data import synthetic_pair_with_hidden_labels
 from wdmatch.model import (
     HyperParams,
+    Problem,
     SourceWeights,
     TransferModel,
     classify_target,
     hinge_losses,
     objective,
 )
-from wdmatch.neighborhood import build_graph, reconstruction_residuals
+from wdmatch.neighborhood import build_graph
 from wdmatch.optimizer import (
     fit,
     initial_theta,
@@ -45,10 +46,20 @@ def small_problem(seed, n1=10, n2=10, m=4, k=2):
     target = DomainDataset(
         rng.standard_normal((n2, m)), np.where(rng.random(n3) < 0.5, 1.0, -1.0)
     )
-    graph_s = build_graph(source, k)
-    graph_t = build_graph(target, k)
-    residuals = reconstruction_residuals(target.features, graph_t)
-    return rng, source, target, graph_s, graph_t, residuals
+    return rng, source, target, (build_graph(source, k), build_graph(target, k))
+
+
+def one_point_problem(target, hp):
+    """Source point [1, 0] (label +1, weight 1) plus a weightless copy of it.
+
+    A neighborhood graph needs two points; the copy's zero weight leaves every
+    block value and subgradient bitwise what the single point gives.
+    """
+    source = DomainDataset([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+    problem = Problem(
+        source, target, hp, build_graph(source, 1), build_graph(target, 1)
+    )
+    return problem, np.array([1.0, 0.0])
 
 
 class TestSolveW:
@@ -128,12 +139,12 @@ class TestMinTraceRows:
 
 class TestSolveTheta:
     def test_matches_engine_on_data(self):
-        _, source, target, *_ = small_problem(5)
+        _, source, target, graphs = small_problem(5)
         weights = SourceWeights.uniform(source.n, 3.0)
         hp = HyperParams(r=2, c1=0.8, c3=1.7)
         rng = np.random.default_rng(6)
         phi, psi = rng.standard_normal(4), rng.standard_normal(4)
-        theta = solve_theta(phi, psi, source, target, weights, hp)
+        theta = solve_theta(Problem(source, target, hp, *graphs), phi, psi, weights)
         gap = source.features.T @ weights.pi / source.n - target.features.mean(axis=0)
         expected = min_trace_rows(
             [(-hp.c1 / 4.0, phi + psi), (hp.c3 / 2.0, gap)], 4, 2
@@ -147,33 +158,30 @@ class TestSolveTheta:
         target = DomainDataset(feats, [1.0])
         weights = SourceWeights.uniform(2, 3.0)
         hp = HyperParams(c1=0.0, r=2)
-        theta = solve_theta(np.zeros(3), np.zeros(3), source, target, weights, hp)
+        problem = Problem(
+            source, target, hp, build_graph(source, 1), build_graph(target, 1)
+        )
+        theta = solve_theta(problem, np.zeros(3), np.zeros(3), weights)
         np.testing.assert_array_equal(theta, np.eye(3)[:2])
 
 
 class TestSubgradients:
     def test_single_active_point(self):
-        source = DomainDataset([[1.0, 0.0]], [1.0])
         target = DomainDataset([[0.0, 1.0], [0.0, -1.0]], [1.0])
-        graph_t = build_graph(target, 1)
-        residuals = reconstruction_residuals(target.features, graph_t)
         hp = HyperParams(c1=0.0, c2=0.0)
-        g_phi, _ = subgradients(
-            np.zeros(2), np.zeros(2), np.eye(2)[:1], np.zeros(1),
-            source, target, SourceWeights([1.0], 3.0), hp, residuals,
-        )
+        problem, pi = one_point_problem(target, hp)
+        shared = np.eye(2)[:1].T @ np.zeros(1)
+        g_phi, _ = subgradients(problem, np.zeros(2), np.zeros(2), shared, pi)
         np.testing.assert_allclose(g_phi, [-1.0, 0.0])
 
     def test_inactive_hinges_zero(self):
         # Scores far beyond the margin and c1 = c2 = 0: both subgradients vanish.
-        source = DomainDataset([[1.0, 0.0]], [1.0])
         target = DomainDataset([[0.0, 1.0], [0.0, 2.0]], [1.0])
-        graph_t = build_graph(target, 1)
-        residuals = reconstruction_residuals(target.features, graph_t)
         hp = HyperParams(c1=0.0, c2=0.0)
+        problem, pi = one_point_problem(target, hp)
+        shared = np.eye(2)[:1].T @ np.zeros(1)
         g_phi, g_psi = subgradients(
-            np.array([5.0, 0.0]), np.array([0.0, 5.0]), np.eye(2)[:1], np.zeros(1),
-            source, target, SourceWeights([1.0], 3.0), hp, residuals,
+            problem, np.array([5.0, 0.0]), np.array([0.0, 5.0]), shared, pi
         )
         np.testing.assert_array_equal(g_phi, [0.0, 0.0])
         np.testing.assert_array_equal(g_psi, [0.0, 0.0])
@@ -183,12 +191,14 @@ class TestSubgradients:
         seed = 0
         while checked < 10:
             seed += 1
-            rng, source, target, _, graph_t, residuals = small_problem(seed)
+            rng, source, target, graphs = small_problem(seed)
             theta = random_orthonormal_rows(rng, 2, 4)
             w = rng.standard_normal(2)
             phi, psi = rng.standard_normal(4), rng.standard_normal(4)
             weights = SourceWeights.uniform(source.n, 3.0)
             hp = HyperParams(c1=0.9, c2=1.4)
+            problem = Problem(source, target, hp, *graphs)
+            shared = theta.T @ w
             margin_s = np.abs(1.0 - source.labels * (source.features @ phi))
             margin_t = np.abs(
                 1.0 - target.labels * (target.features[: target.labeled_count] @ psi)
@@ -196,20 +206,18 @@ class TestSubgradients:
             if min(margin_s.min(), margin_t.min()) < 1e-3:
                 continue  # too close to the hinge kink for finite differences
             checked += 1
-            g_phi, g_psi = subgradients(
-                phi, psi, theta, w, source, target, weights, hp, residuals
-            )
+            g_phi, g_psi = subgradients(problem, phi, psi, shared, weights.pi)
             h = 1e-6
             for vec, grad, which in ((phi, g_phi, "phi"), (psi, g_psi, "psi")):
                 for i in range(4):
                     e = np.zeros(4)
                     e[i] = h
                     if which == "phi":
-                        up = q_value(vec + e, psi, theta, w, source, target, weights, hp, residuals)
-                        dn = q_value(vec - e, psi, theta, w, source, target, weights, hp, residuals)
+                        up = q_value(problem, vec + e, psi, shared, weights.pi)
+                        dn = q_value(problem, vec - e, psi, shared, weights.pi)
                     else:
-                        up = q_value(phi, vec + e, theta, w, source, target, weights, hp, residuals)
-                        dn = q_value(phi, vec - e, theta, w, source, target, weights, hp, residuals)
+                        up = q_value(problem, phi, vec + e, shared, weights.pi)
+                        dn = q_value(problem, phi, vec - e, shared, weights.pi)
                     fd = (up - dn) / (2 * h)
                     assert fd == pytest.approx(grad[i], rel=1e-5, abs=1e-5)
 
@@ -217,67 +225,62 @@ class TestSubgradients:
 class TestUpdatePhiPsi:
     def test_stationary_input_unchanged(self):
         # Everything inactive and no pull terms: subgradients are exactly zero.
-        source = DomainDataset([[1.0, 0.0]], [1.0])
         target = DomainDataset([[0.0, 1.0], [0.0, 2.0]], [1.0])
-        graph_t = build_graph(target, 1)
-        residuals = reconstruction_residuals(target.features, graph_t)
         hp = HyperParams(c1=0.0, c2=0.0, subgrad_iters=25)
+        problem, pi = one_point_problem(target, hp)
         phi0, psi0 = np.array([5.0, 0.0]), np.array([0.0, 5.0])
-        phi, psi = update_phi_psi(
-            phi0, psi0, np.eye(2)[:1], np.zeros(1), source, target,
-            SourceWeights([1.0], 3.0), hp, residuals,
-        )
+        shared = np.eye(2)[:1].T @ np.zeros(1)
+        phi, psi = update_phi_psi(problem, phi0, psi0, shared, pi)
         np.testing.assert_array_equal(phi, phi0)
         np.testing.assert_array_equal(psi, psi0)
 
     def test_strict_decrease_on_convex_instance(self):
-        source = DomainDataset([[1.0, 0.0]], [1.0])
         target = DomainDataset([[0.0, 1.0], [0.0, -1.0]], [1.0])
-        graph_t = build_graph(target, 1)
-        residuals = reconstruction_residuals(target.features, graph_t)
         hp = HyperParams(c1=0.5, c2=0.5, subgrad_iters=1)
-        weights = SourceWeights([1.0], 3.0)
-        args = (np.eye(2)[:1], np.zeros(1), source, target, weights, hp, residuals)
-        before = q_value(np.zeros(2), np.zeros(2), *args)
-        phi, psi = update_phi_psi(np.zeros(2), np.zeros(2), *args)
-        after = q_value(phi, psi, *args)
+        problem, pi = one_point_problem(target, hp)
+        shared = np.eye(2)[:1].T @ np.zeros(1)
+        before = q_value(problem, np.zeros(2), np.zeros(2), shared, pi)
+        phi, psi = update_phi_psi(problem, np.zeros(2), np.zeros(2), shared, pi)
+        after = q_value(problem, phi, psi, shared, pi)
         assert after < before
 
     def test_never_increases(self):
         for seed in range(5):
-            rng, source, target, _, graph_t, residuals = small_problem(60 + seed)
+            rng, source, target, graphs = small_problem(60 + seed)
             theta = random_orthonormal_rows(rng, 2, 4)
             w = rng.standard_normal(2)
             weights = SourceWeights.uniform(source.n, 3.0)
             hp = HyperParams(subgrad_iters=30)
             phi0, psi0 = rng.standard_normal(4), rng.standard_normal(4)
-            args = (theta, w, source, target, weights, hp, residuals)
-            phi, psi = update_phi_psi(phi0, psi0, *args)
-            assert q_value(phi, psi, *args) <= q_value(phi0, psi0, *args) + 1e-12
+            problem = Problem(source, target, hp, *graphs)
+            fixed = (theta.T @ w, weights.pi)
+            phi, psi = update_phi_psi(problem, phi0, psi0, *fixed)
+            assert (q_value(problem, phi, psi, *fixed)
+                    <= q_value(problem, phi0, psi0, *fixed) + 1e-12)
 
 
 class TestSolvePi:
     def test_constant_objective_keeps_uniform(self):
-        _, source, target, graph_s, *_ = small_problem(70)
+        _, source, target, graphs = small_problem(70)
         hp = HyperParams(c2=0.0, c3=0.0)
         theta = np.eye(4)[:2]
         # phi = 0 makes every hinge loss equal to one.
         weights = solve_pi(
-            theta, np.zeros(4), source, target,
-            SourceWeights.uniform(source.n, hp.delta), graph_s, hp,
+            Problem(source, target, hp, *graphs), theta, np.zeros(4),
+            SourceWeights.uniform(source.n, hp.delta),
         )
         np.testing.assert_array_equal(weights.pi, np.ones(source.n))
 
     def test_lp_limit_matches_greedy(self):
-        rng, source, target, graph_s, *_ = small_problem(71)
+        rng, source, target, graphs = small_problem(71)
         n1 = source.n
         hp = HyperParams(c2=0.0, c3=0.0, delta=float(n1))
         phi = rng.standard_normal(4)
         losses = hinge_losses(source.features @ phi, source.labels)
         assert len(np.unique(losses)) == n1  # distinct, so the LP optimum is unique
         weights = solve_pi(
-            theta=np.eye(4)[:2], phi=phi, source=source, target=target,
-            weights=SourceWeights.uniform(n1, hp.delta), source_graph=graph_s, hp=hp,
+            problem=Problem(source, target, hp, *graphs), theta=np.eye(4)[:2],
+            phi=phi, weights=SourceWeights.uniform(n1, hp.delta),
         )
         greedy = np.zeros(n1)
         mass = float(n1)
@@ -289,21 +292,18 @@ class TestSolvePi:
         np.testing.assert_allclose(weights.pi, greedy, atol=1e-8)
 
     def test_qp_assembly_matches_direct_terms(self):
-        rng, source, target, graph_s, graph_t, _ = small_problem(72)
+        rng, source, target, graphs = small_problem(72)
         hp = HyperParams(c2=1.3, c3=0.9)
         theta = random_orthonormal_rows(rng, 2, 4)
         phi = rng.standard_normal(4)
+        problem = Problem(source, target, hp, *graphs)
         new = solve_pi(
-            theta, phi, source, target,
-            SourceWeights.uniform(source.n, hp.delta), graph_s, hp,
+            problem, theta, phi, SourceWeights.uniform(source.n, hp.delta)
         )
 
         def direct(pi_vec):
             model = TransferModel(theta, solve_w(theta, phi, phi), phi, phi)
-            terms = objective(
-                model, SourceWeights(pi_vec, hp.delta), source, target,
-                graph_s, graph_t, hp,
-            )
+            terms = objective(model, SourceWeights(pi_vec, hp.delta), problem)
             return terms.source_hinge + terms.weight_smoothness + terms.mean_matching
 
         # The QP minimizer must beat any feasible candidate on the pi terms.
@@ -315,16 +315,17 @@ class TestSolvePi:
             assert direct(new.pi) <= direct(cand) + 1e-8
 
     def test_objective_never_above_incumbent(self):
-        rng, source, target, graph_s, graph_t, _ = small_problem(73)
+        rng, source, target, graphs = small_problem(73)
         hp = HyperParams(c2=0.7, c3=1.1)
         theta = random_orthonormal_rows(rng, 2, 4)
         phi = rng.standard_normal(4)
         incumbent = SourceWeights.uniform(source.n, hp.delta)
-        new = solve_pi(theta, phi, source, target, incumbent, graph_s, hp)
+        problem = Problem(source, target, hp, *graphs)
+        new = solve_pi(problem, theta, phi, incumbent)
 
         def pi_terms(weights):
             model = TransferModel(theta, solve_w(theta, phi, phi), phi, phi)
-            terms = objective(model, weights, source, target, graph_s, graph_t, hp)
+            terms = objective(model, weights, problem)
             return terms.source_hinge + terms.weight_smoothness + terms.mean_matching
 
         assert pi_terms(new) <= pi_terms(incumbent) + 1e-10
@@ -384,12 +385,44 @@ class TestFit:
     def test_deterministic_bitwise(self):
         _, source, target, *_ = small_problem(91)
         hp = HyperParams(outer_iters=3, subgrad_iters=20, k=2, r=2, tol=0.0)
-        s1 = fit(source, target, hp, seed=0)
-        s2 = fit(source, target, hp, seed=123)
+        s1 = fit(source, target, hp)
+        s2 = fit(source, target, hp)
         np.testing.assert_array_equal(s1.model.theta, s2.model.theta)
         np.testing.assert_array_equal(s1.model.phi, s2.model.phi)
         np.testing.assert_array_equal(s1.weights.pi, s2.weights.pi)
         assert s1.objective_trace == s2.objective_trace
+
+    @pytest.mark.parametrize("outer_iters", [1, 3])
+    def test_problem_data_built_once(self, monkeypatch, outer_iters):
+        import sys
+
+        import wdmatch.neighborhood as nb
+
+        def count(name):
+            calls = []
+            real = getattr(nb, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "wdmatch" and getattr(
+                    module, name, None
+                ) is real:
+                    monkeypatch.setattr(module, name, counted)
+            return calls
+
+        graphs = count("build_graph")
+        operators = count("reconstruction_operator")
+        residuals = count("reconstruction_residuals")
+        _, source, target, _ = small_problem(96)
+        hp = HyperParams(outer_iters=outer_iters, subgrad_iters=10, k=2, r=2, tol=0.0)
+        state = fit(source, target, hp)
+        assert state.iteration == outer_iters
+        assert (len(graphs), len(operators), len(residuals)) == (2, 1, 1)
+        steps = [event["step"] for event in state.substeps]
+        assert steps == ["phi_psi", "w", "theta", "pi"] * outer_iters
 
     def test_tolerance_stops_early(self):
         _, source, target, *_ = small_problem(92)
