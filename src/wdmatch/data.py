@@ -112,7 +112,7 @@ def _load_dense(lines) -> tuple[list, list]:
     return rows, labels
 
 
-def _load_sparse(lines, n_features) -> tuple[list, list]:
+def _load_sparse(lines, n_features) -> tuple[np.ndarray, list]:
     entries, labels = [], []
     max_index = 0
     for lineno, line in lines:
@@ -138,16 +138,14 @@ def _load_sparse(lines, n_features) -> tuple[list, list]:
                     f"dimension {n_features}"
                 )
             row[idx - 1] = value
-            max_index = max(max_index, idx)
+        if row:
+            max_index = max(max_index, max(row) + 1)
         entries.append(row)
         labels.append(label)
     dim = n_features if n_features is not None else max_index
-    rows = []
-    for row in entries:
-        dense = [0.0] * dim
-        for j, v in row.items():
-            dense[j] = v
-        rows.append(dense)
+    rows = np.zeros((len(entries), dim))
+    for i, row in enumerate(entries):
+        rows[i, list(row)] = list(row.values())
     return rows, labels
 
 
@@ -179,7 +177,7 @@ def load_dataset(path, format: str, n_features: int | None = None) -> DomainData
         rows, labels = _load_dense(lines)
     else:
         rows, labels = _load_sparse(lines, n_features)
-    if not rows:
+    if len(rows) == 0:
         raise ValidationError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=np.float64)
     # Stable partition: labeled rows keep their order at the front.

@@ -92,12 +92,9 @@ def halving_descent(value, gradient, params: tuple, iters: int, rho: float) -> t
 
 def _sign_rows(rows: np.ndarray) -> np.ndarray:
     """Flip rows in place so each first non-negligible component is positive."""
-    for i in range(rows.shape[0]):
-        for component in rows[i]:
-            if abs(component) > 1e-12:
-                if component < 0.0:
-                    rows[i] = -rows[i]
-                break
+    significant = np.abs(rows) > 1e-12
+    first = rows[np.arange(rows.shape[0]), np.argmax(significant, axis=1)]
+    rows[significant.any(axis=1) & (first < 0.0)] *= -1.0
     return rows
 
 
@@ -115,11 +112,14 @@ def min_trace_rows(terms, m: int, r: int) -> np.ndarray:
     """Orthonormal rows minimizing trace(T M T') for M = sum_c coef_c v_c v_c'.
 
     ``terms`` is a sequence of (coef, vector) pairs, at most rank 2 in
-    practice. The eigenproblem is solved inside the span of the term vectors;
-    the zero eigenspace is filled by Gram-Schmidt over the canonical basis, so
-    the result is deterministic even under massive eigenvalue degeneracy.
-    Rows are ordered by ascending eigenvalue (stable under ties) and signed so
-    their first non-negligible component is positive.
+    practice. The eigenproblem is solved inside the span of the term vectors
+    (Ky Fan's trace minimum). The zero eigenspace is filled by one Householder
+    QR of the eigenvectors followed by the first canonical vectors, only as
+    many as the r rows need; its trailing columns are orthonormal and
+    orthogonal to the span even when a canonical vector lies inside it, so the
+    result is deterministic under massive eigenvalue degeneracy. Rows are
+    ordered by ascending eigenvalue (stable under ties) and signed so their
+    first non-negligible component is positive.
     """
     if not 1 <= r <= m:
         raise ValidationError(f"need 1 <= r <= m, got r={r}, m={m}")
@@ -139,8 +139,8 @@ def min_trace_rows(terms, m: int, r: int) -> np.ndarray:
         if norm > 1e-12 * max(1.0, float(np.linalg.norm(vec))):
             basis.append(resid / norm)
 
-    vectors = []
-    values = []
+    values = np.zeros(0)
+    vectors = np.zeros((m, 0))
     if basis:
         span = np.array(basis).T  # m x p, orthonormal columns
         p = span.shape[1]
@@ -148,28 +148,14 @@ def min_trace_rows(terms, m: int, r: int) -> np.ndarray:
         for coef, vec in cleaned:
             coords = span.T @ vec
             compressed += coef * np.outer(coords, coords)
-        evals, evecs = np.linalg.eigh(compressed)
-        span_vectors = span @ evecs
-        for j in range(p):
-            vectors.append(span_vectors[:, j])
-            values.append(float(evals[j]))
-    for j in range(m):
-        if len(vectors) == m:
-            break
-        cand = np.zeros(m)
-        cand[j] = 1.0
-        for q in vectors:
-            cand -= (q @ cand) * q
-        norm = np.linalg.norm(cand)
-        if norm > 1e-6:
-            cand /= norm
-            for q in vectors:  # second pass keeps the basis clean
-                cand -= (q @ cand) * q
-            cand /= np.linalg.norm(cand)
-            vectors.append(cand)
-            values.append(0.0)
-    order = np.argsort(np.asarray(values), kind="stable")[:r]
-    return _sign_rows(np.array([vectors[i] for i in order]))
+        values, evecs = np.linalg.eigh(compressed)
+        vectors = span @ evecs
+    need = min(r, m - vectors.shape[1])
+    completed, _ = np.linalg.qr(np.hstack([vectors, np.eye(m)[:, :need]]))
+    completed[:, : vectors.shape[1]] = vectors  # Q has them up to sign and rounding
+    values = np.concatenate([values, np.zeros(need)])
+    order = np.argsort(values, kind="stable")[:r]
+    return _sign_rows(completed[:, order].T.copy())
 
 
 def solve_theta(problem: Problem, phi, psi, weights: SourceWeights) -> np.ndarray:
@@ -305,6 +291,9 @@ def fit(
 
     The loop stops after ``hp.outer_iters`` iterations or once the relative
     objective change drops below ``hp.tol``. The procedure is deterministic.
+    A solver or validation failure inside the loop is raised as a
+    :class:`ConvergenceError` carrying the last complete state; any other
+    exception is a bug and propagates unchanged.
     """
     hp = HyperParams() if hp is None else hp
     if not isinstance(source, DomainDataset) or not isinstance(target, DomainDataset):
@@ -385,7 +374,7 @@ def fit(
             previous = trace[-2]
             if abs(previous - after) < hp.tol * max(1.0, abs(previous)):
                 break
-    except Exception as exc:
+    except (ConvergenceError, ValidationError, np.linalg.LinAlgError) as exc:
         partial = OptState(
             model=TransferModel(theta, w, phi, psi),
             weights=weights,

@@ -216,18 +216,12 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
         # Working-set stationary point: check bound multipliers.
         _, lam, grad = _stationarity_residual(problem, x, at_lo, at_up)
         mult_tol = 1e-10 * scale
-        drop = -1
-        for i in range(n):
-            if pinned[i] or free[i]:
-                continue
-            if at_lo[i] and grad[i] - lam < -mult_tol:
-                drop = i
-                break
-            if at_up[i] and grad[i] - lam > mult_tol:
-                drop = i
-                break
-        if drop < 0:
+        dual = grad - lam
+        wrong_sign = (at_lo & (dual < -mult_tol)) | (at_up & (dual > mult_tol))
+        drops = np.flatnonzero(wrong_sign & ~pinned & ~free)
+        if drops.size == 0:
             break
+        drop = drops[0]
         at_lo[drop] = False
         at_up[drop] = False
 

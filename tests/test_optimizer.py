@@ -112,7 +112,7 @@ class TestMinTraceRows:
     def test_orthonormal_output(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            m = int(rng.integers(3, 9))
+            m = int(rng.integers(3, 401))
             r = int(rng.integers(1, m + 1))
             terms = [
                 (-float(rng.uniform(0.1, 3)), rng.standard_normal(m)),
@@ -120,6 +120,26 @@ class TestMinTraceRows:
             ]
             rows = min_trace_rows(terms, m, r)
             np.testing.assert_allclose(rows @ rows.T, np.eye(r), atol=1e-10)
+
+    @pytest.mark.parametrize("m, r", [(5, 3), (40, 20), (400, 20)])
+    def test_completion_spans_projected_canonical_vectors(self, m, r):
+        # One negative and one positive term: row 0 is the negative
+        # eigenvector, and the other r - 1 rows must span the projections of
+        # e_1 ... e_{r-1} onto the complement of the term span.
+        rng = np.random.default_rng(m)
+        terms = [(-1.5, rng.standard_normal(m)), (2.0, rng.standard_normal(m))]
+        rows = min_trace_rows(terms, m, r)
+        span, _ = np.linalg.qr(np.column_stack([v for _, v in terms]))
+        expected, _ = np.linalg.qr(
+            np.eye(m)[:, : r - 1] - span @ (span.T @ np.eye(m)[:, : r - 1])
+        )
+        np.testing.assert_allclose(
+            rows[1:].T @ rows[1:], expected @ expected.T, atol=1e-10
+        )
+
+    def test_completion_when_canonical_vectors_lie_in_span(self):
+        rows = min_trace_rows([(-1.0, np.eye(4)[0]), (-2.0, np.eye(4)[1])], 4, 3)
+        np.testing.assert_allclose(rows, np.eye(4)[[1, 0, 2]], atol=1e-12)
 
     def test_beats_random_orthonormal_sampling(self):
         rng = np.random.default_rng(3)
@@ -448,7 +468,8 @@ class TestFit:
             assert entry["orthonormal_gap"] <= 1e-8
             assert entry["pi_sum_gap"] <= 1e-6
 
-    def test_substep_failure_attaches_state(self, monkeypatch):
+    @pytest.mark.parametrize("error", [ValidationError, TypeError])
+    def test_substep_failure_attaches_state(self, monkeypatch, error):
         import wdmatch.optimizer as opt
 
         _, source, target, *_ = small_problem(95)
@@ -459,10 +480,15 @@ class TestFit:
         def flaky(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] >= 3:
-                raise ValidationError("synthetic sub-step failure")
+                raise error("synthetic sub-step failure")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(opt, "solve_pi", flaky)
+        if error is TypeError:
+            # A bug is not a solver failure: it must surface unwrapped.
+            with pytest.raises(TypeError, match="synthetic sub-step failure"):
+                opt.fit(source, target, hp)
+            return
         from wdmatch.errors import ConvergenceError
         with pytest.raises(ConvergenceError) as excinfo:
             opt.fit(source, target, hp)
