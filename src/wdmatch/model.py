@@ -16,11 +16,7 @@ import numpy as np
 
 from .data import DomainDataset
 from .errors import ValidationError
-from .neighborhood import (
-    NeighborhoodGraph,
-    reconstruction_operator,
-    reconstruction_residuals,
-)
+from .neighborhood import NeighborhoodGraph, reconstruction_residuals
 
 _ORTH_TOL = 1e-8
 
@@ -299,10 +295,10 @@ class Problem:
 
     Built once from the two datasets, the hyperparameters and both
     neighborhood graphs; validated on construction. It carries the target
-    residual matrix of the response-smoothness term, the smoothness block
-    ``2 c2 (I - W)'(I - W)`` of the instance-weight QP, the raw target feature
-    mean and the labeled target rows. The dense ``I - W`` exists only while
-    the smoothness block is formed.
+    residual matrix of the response-smoothness term, the raw target feature
+    mean and the labeled target rows. The instance-weight QP applies
+    ``I - W`` straight from the source graph's (n, k) arrays, so nothing of
+    size n x n is stored.
     """
 
     source: DomainDataset
@@ -311,7 +307,6 @@ class Problem:
     source_graph: NeighborhoodGraph
     target_graph: NeighborhoodGraph
     residuals: np.ndarray = field(init=False)
-    smoothness: np.ndarray = field(init=False)
     target_mean: np.ndarray = field(init=False)
     labeled_target: np.ndarray = field(init=False)
 
@@ -325,14 +320,11 @@ class Problem:
             raise ValidationError("source and target dimensions differ")
         if not source.is_fully_labeled():
             raise ValidationError("source domain must be fully labeled")
-        operator = reconstruction_operator(self.source_graph)
-        smoothness = 2.0 * self.hp.c2 * (operator.T @ operator)
         residuals = reconstruction_residuals(target.features, self.target_graph)
         target_mean = target.features.mean(axis=0)
-        for arr in (residuals, smoothness, target_mean):
+        for arr in (residuals, target_mean):
             arr.flags.writeable = False
         object.__setattr__(self, "residuals", residuals)
-        object.__setattr__(self, "smoothness", smoothness)
         object.__setattr__(self, "target_mean", target_mean)
         object.__setattr__(self, "labeled_target", target.labeled_features)
 
@@ -363,10 +355,7 @@ def objective(
     dv = model.psi - shared
     adaptation = 0.5 * hp.c1 * float(du @ du + dv @ dv)
 
-    graph = problem.source_graph
-    pi_gap = weights.pi - np.einsum(
-        "nk,nk->n", graph.weights, weights.pi[graph.neighbors]
-    )
+    pi_gap = problem.source_graph.residual(weights.pi)
     weight_smoothness = hp.c2 * float(pi_gap @ pi_gap)
 
     response_gap = problem.residuals @ model.psi

@@ -60,6 +60,19 @@ class NeighborhoodGraph:
     def k(self) -> int:
         return self.neighbors.shape[1]
 
+    def residual(self, values: np.ndarray) -> np.ndarray:
+        """(I - W) v: each value minus its reconstruction from its neighbors."""
+        return values - np.einsum("nk,nk->n", self.weights, values[self.neighbors])
+
+    def residual_adjoint(self, values: np.ndarray) -> np.ndarray:
+        """(I - W)' v: scatters each row's coefficients back to its neighbors."""
+        spread = np.bincount(
+            self.neighbors.ravel(),
+            weights=(self.weights * values[:, None]).ravel(),
+            minlength=self.n,
+        )
+        return values - spread
+
     def to_json_dict(self) -> dict:
         return {
             str(i): {
@@ -106,7 +119,10 @@ def solve_reconstruction(point, neighbors) -> np.ndarray:
 
     The simplex-constrained problem is passed to the active-set QP solver; a
     ridge of 1e-10 * trace keeps coincident neighbors from producing a
-    singular Gram matrix.
+    singular Gram matrix. The weights do not change when the Gram matrix is
+    scaled, so it is scaled by the power of two that brings its trace into
+    [0.5, 1); that is exact, and keeps the solver's absolute tolerances
+    meaningful for features of any magnitude.
     """
     x = np.asarray(point, dtype=np.float64).reshape(-1)
     nbrs = np.asarray(neighbors, dtype=np.float64)
@@ -122,6 +138,7 @@ def solve_reconstruction(point, neighbors) -> np.ndarray:
     # is translation-invariant and much better conditioned.
     diffs = x[None, :] - nbrs
     gram = diffs @ diffs.T
+    gram = np.ldexp(gram, -np.frexp(np.trace(gram))[1])
     gram += _GRAM_RIDGE * np.trace(gram) * np.eye(k)
     problem = BoxEqQP(
         hess=2.0 * gram,
@@ -153,10 +170,3 @@ def reconstruction_residuals(points, graph: NeighborhoodGraph) -> np.ndarray:
     recon = np.einsum("nk,nkm->nm", graph.weights, points[graph.neighbors])
     return points - recon
 
-
-def reconstruction_operator(graph: NeighborhoodGraph) -> np.ndarray:
-    """Dense I - W with W[i, N_ik] = w_ik; used by the instance-weight QP."""
-    op = np.eye(graph.n)
-    rows = np.repeat(np.arange(graph.n), graph.k)
-    np.subtract.at(op, (rows, graph.neighbors.ravel()), graph.weights.ravel())
-    return op

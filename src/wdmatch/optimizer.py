@@ -27,7 +27,7 @@ from .model import (
     hinge_losses,
     objective,
 )
-from .neighborhood import build_graph
+from .neighborhood import NeighborhoodGraph, build_graph
 from .qp import BoxEqQP, solve_qp
 
 logger = logging.getLogger(__name__)
@@ -231,20 +231,44 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi):
     )
 
 
+@dataclass(frozen=True)
+class InstanceWeightHessian:
+    """The instance-weight QP's Hessian as an operator, never formed densely.
+
+    ``matvec`` applies p -> 2 c2 (I - W)'(I - W) p + U (U'p), with ``I - W``
+    read from the source graph's (n, k) rows and ``basis`` the n x r matrix
+    U = sqrt(c3)/n X theta' of the mean-matching term. A product costs
+    O(n (k + r)).
+    """
+
+    graph: NeighborhoodGraph
+    c2: float
+    basis: np.ndarray
+
+    def matvec(self, p: np.ndarray) -> np.ndarray:
+        smooth = self.graph.residual_adjoint(self.graph.residual(p))
+        return 2.0 * self.c2 * smooth + self.basis @ (self.basis.T @ p)
+
+
 def solve_pi(problem: Problem, theta, phi, weights: SourceWeights) -> SourceWeights:
     """Instance-weight update as a box/sum QP, warm-started at the incumbent.
 
-    The quadratic term adds the projected source Gram matrix to the fixed
-    smoothness block; the linear term carries the current hinge losses and the
-    pull toward the target mean.
+    The Hessian is the operator :class:`InstanceWeightHessian`: the
+    reconstruction smoothness ``2 c2 (I - W)'(I - W)`` plus the rank-r
+    mean-matching term ``(c3/n^2) P P'`` with ``P = X theta'``. The linear
+    term carries the current hinge losses and the pull toward the target
+    mean. :func:`~wdmatch.qp.solve_qp` minimizes it by GPCG, so memory stays
+    O(n (k + r)).
     """
     source, hp = problem.source, problem.hp
     n1 = source.n
     losses = hinge_losses(source.features @ phi, source.labels)
     projected = source.features @ np.asarray(theta).T  # n1 x r
-    hess = problem.smoothness + (hp.c3 / n1**2) * (projected @ projected.T)
     mu_t = np.asarray(theta) @ problem.target_mean
     lin = losses - (hp.c3 / n1) * (projected @ mu_t)
+    hess = InstanceWeightHessian(
+        problem.source_graph, hp.c2, (np.sqrt(hp.c3) / n1) * projected
+    )
     qp = BoxEqQP(
         hess=hess,
         lin=lin,

@@ -6,7 +6,6 @@ from wdmatch.neighborhood import (
     NeighborhoodGraph,
     build_graph,
     build_knn,
-    reconstruction_operator,
     reconstruction_residuals,
     solve_reconstruction,
 )
@@ -160,17 +159,50 @@ class TestGraphOperators:
             direct = pts[i] - graph.weights[i] @ pts[graph.neighbors[i]]
             np.testing.assert_allclose(resid[i], direct, atol=1e-12)
 
-    def test_operator_matches_residuals_on_scalars(self):
+    def test_residual_and_adjoint_match_dense_operator(self):
         rng = np.random.default_rng(6)
         pts = rng.standard_normal((10, 2))
+        pts[0] = 50.0  # far away, so no point has it among its neighbors
         graph = build_graph(pts, 2)
+        assert 0 not in graph.neighbors
+        dense = np.eye(10)
+        for i in range(10):
+            for j, w in zip(graph.neighbors[i], graph.weights[i]):
+                dense[i, j] -= w
         values = rng.standard_normal(10)
-        op = reconstruction_operator(graph)
-        direct = values - np.einsum("nk,nk->n", graph.weights, values[graph.neighbors])
-        np.testing.assert_allclose(op @ values, direct, atol=1e-12)
+        np.testing.assert_allclose(graph.residual(values), dense @ values, atol=1e-12)
+        np.testing.assert_allclose(
+            graph.residual_adjoint(values), dense.T @ values, atol=1e-12
+        )
 
     def test_json_dump_shape(self):
         graph = build_graph(np.array([[0.0], [1.0], [2.0]]), 2)
         payload = graph.to_json_dict()
         assert set(payload) == {"0", "1", "2"}
         assert len(payload["0"]["neighbors"]) == 2
+
+
+class TestFeatureScale:
+    def test_weights_do_not_depend_on_feature_scale(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            m, k = int(rng.integers(1, 8)), int(rng.integers(2, 7))
+            point, nbrs = rng.standard_normal(m), rng.standard_normal((k, m))
+            base = solve_reconstruction(point, nbrs)
+            for scale in 10.0 ** np.arange(-8, 7):
+                np.testing.assert_allclose(
+                    solve_reconstruction(scale * point, scale * nbrs), base, atol=1e-10
+                )
+            for power in (-27, -3, 5, 20):
+                np.testing.assert_array_equal(
+                    solve_reconstruction(np.ldexp(point, power), np.ldexp(nbrs, power)),
+                    base,
+                )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_graph_on_raw_scale_features(self, seed):
+        pts = np.random.default_rng(seed).normal(size=(200, 5))
+        raw = build_graph(pts * 1e3, 5)
+        unit = build_graph(pts, 5)
+        np.testing.assert_array_equal(raw.neighbors, unit.neighbors)
+        np.testing.assert_allclose(raw.weights, unit.weights, atol=1e-10)

@@ -18,8 +18,9 @@ from wdmatch.model import (
     hinge_losses,
     objective,
 )
-from wdmatch.neighborhood import build_graph
+from wdmatch.neighborhood import NeighborhoodGraph, build_graph
 from wdmatch.optimizer import (
+    InstanceWeightHessian,
     fit,
     initial_theta,
     min_trace_rows,
@@ -351,6 +352,100 @@ class TestSolvePi:
         assert pi_terms(new) <= pi_terms(incumbent) + 1e-10
 
 
+def random_graph(rng, n, k, isolated=()):
+    """Random (n, k) graph whose neighbor lists avoid the ``isolated`` points."""
+    allowed = np.setdiff1d(np.arange(n), isolated)
+    neighbors = np.array(
+        [rng.choice(allowed[allowed != i], k, replace=False) for i in range(n)]
+    )
+    return NeighborhoodGraph(neighbors, rng.dirichlet(np.ones(k), n))
+
+
+class TestInstanceWeightHessian:
+    def test_matvec_matches_dense_matrix(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(4, 40))
+            k = int(rng.integers(1, min(5, n - 2) + 1))
+            # Point 0 is no one's neighbor.
+            graph = random_graph(rng, n, k, isolated=[0])
+            basis = rng.standard_normal((n, int(rng.integers(1, 4))))
+            c2 = float(rng.uniform(0.0, 3.0))
+            residual = np.eye(n)
+            for i in range(n):
+                residual[i, graph.neighbors[i]] -= graph.weights[i]
+            dense = 2.0 * c2 * residual.T @ residual + basis @ basis.T
+            operator = InstanceWeightHessian(graph, c2, basis)
+            for p in rng.standard_normal((3, n)):
+                expected = dense @ p
+                gap = np.max(np.abs(operator.matvec(p) - expected))
+                assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+
+    def test_solve_pi_memory_is_linear_in_n(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(13)
+        n, k, r, m = 3000, 5, 3, 5
+        source = DomainDataset(
+            rng.standard_normal((n, m)), np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        )
+        target = DomainDataset(
+            rng.standard_normal((50, m)), np.where(rng.random(10) < 0.5, 1.0, -1.0)
+        )
+        hp = HyperParams(k=k, r=r)
+        problem = Problem(
+            source, target, hp, random_graph(rng, n, k), build_graph(target, k)
+        )
+        theta = random_orthonormal_rows(rng, r, m)
+        phi = rng.standard_normal(m)
+        weights = SourceWeights.uniform(n, hp.delta)
+        tracemalloc.start()
+        try:
+            solve_pi(problem, theta, phi, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # one dense n x n array would take 72 MB
+
+
+# Fits whose pi QPs have badly conditioned faces: c2 and c3 orders of
+# magnitude apart, features far from unit scale, mostly k = 1 graphs.
+ILL_CONDITIONED_FITS = [
+    ((8, 122, 1.937, 2.407, [-1.852, -2.511, 2.131, 2.168, 2.259, -0.169, -1.356,
+                             -2.957], 0.323, 544083118), 103.0,
+     dict(c1=0.134, c2=0.0196, c3=67.7, r=6, delta=100.0, k=7)),
+    ((6, 104, 5.049, 0.102, [-0.423, 1.111, -2.062, -0.686, -2.881, -2.509], 0.108,
+      822042044), 0.602, dict(c1=34.5, c2=0.0794, c3=90.6, r=3, delta=3.0, k=1)),
+    ((7, 43, 0.777, 2.306, [-2.499, 0.863, 0.381, 1.437, 2.663, -1.581, -0.104],
+      0.376, 386884818), 0.00357, dict(c1=0.0357, c2=389.0, c3=0.0159, r=2,
+                                       delta=100.0, k=1)),
+    ((2, 108, 7.064, 1.22, [-1.968, -2.31], 0.179, 886439613), 1.97,
+     dict(c1=0.0149, c2=277.0, c3=0.0, r=2, delta=1.01, k=1)),
+    ((2, 63, 3.001, 1.452, [-1.683, -0.191], 0.303, 51259959), 0.0155,
+     dict(c1=9.91, c2=146.0, c3=18.5, r=1, delta=3.0, k=1)),
+    ((6, 55, 1.797, 0.189, [-0.205, -1.714, 1.433, 2.535, -1.362, 0.433], 0.253,
+      1129388934), 0.00561, dict(c1=34.6, c2=0.7, c3=0.0, r=1, delta=1.01, k=1)),
+    ((5, 91, 7.445, 0.006, [-2.026, 1.321, -0.633, -1.273, 2.777], 0.132,
+      1994024537), 610.0, dict(c1=11.248, c2=18.05, c3=67.82, r=4, delta=1.01, k=2)),
+    ((9, 64, 4.168, 0.19, [1.58, 0.86, -1.599, 1.979, 0.283, 2.574, 1.921, -2.397,
+                           -1.576], 0.424, 2038714205), 0.00606,
+     dict(c1=47.625, c2=73.077, c3=0.108, r=1, delta=3.0, k=1)),
+]
+
+
+@pytest.mark.parametrize("spec, scale, hp", ILL_CONDITIONED_FITS)
+def test_pi_step_on_ill_conditioned_faces(spec, scale, hp):
+    source, target = generate_synthetic_pair(SyntheticShiftSpec(*spec))
+    source = DomainDataset(scale * source.features, source.labels)
+    target = DomainDataset(scale * target.features, target.labels)
+    state = fit(source, target, HyperParams(**hp, outer_iters=8, subgrad_iters=20,
+                                            tol=0.0))
+    for event in state.substeps:
+        if event["step"] == "pi":
+            assert event["after"] <= event["before"] + 1e-9 * abs(event["before"])
+            assert event["sum_gap"] <= 1e-9 * source.n
+
+
 class TestInitialTheta:
     def test_orthonormal_and_deterministic(self):
         _, source, target, *_ = small_problem(80)
@@ -434,13 +529,12 @@ class TestFit:
             return calls
 
         graphs = count("build_graph")
-        operators = count("reconstruction_operator")
         residuals = count("reconstruction_residuals")
         _, source, target, _ = small_problem(96)
         hp = HyperParams(outer_iters=outer_iters, subgrad_iters=10, k=2, r=2, tol=0.0)
         state = fit(source, target, hp)
         assert state.iteration == outer_iters
-        assert (len(graphs), len(operators), len(residuals)) == (2, 1, 1)
+        assert (len(graphs), len(residuals)) == (2, 1)
         steps = [event["step"] for event in state.substeps]
         assert steps == ["phi_psi", "w", "theta", "pi"] * outer_iters
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from wdmatch.errors import InfeasibleProblemError, ValidationError
+from wdmatch.neighborhood import NeighborhoodGraph
+from wdmatch.optimizer import InstanceWeightHessian
 from wdmatch.qp import BoxEqQP, project_feasible, projected_gradient_oracle, solve_qp
 
 
@@ -183,3 +185,142 @@ class TestProjection:
             if feas.any():
                 best = np.min(np.linalg.norm(cands[feas] - z, axis=1))
                 assert np.linalg.norm(x - z) <= best + 1e-3
+
+
+def old_projection(z, lower, upper, eq_target):
+    """The (2n x n) clipped-sum formula the breakpoint search replaced."""
+    clipped = np.clip(z, lower, upper)
+    if clipped.sum() == eq_target:
+        return clipped
+    points = np.sort(np.concatenate([z - upper, z - lower]))
+    sums = np.clip(z[None, :] - points[:, None], lower, upper).sum(axis=1)
+    if eq_target >= sums[0]:
+        return upper.copy()
+    if eq_target <= sums[-1]:
+        return lower.copy()
+    hi = int(np.searchsorted(-sums, -eq_target, side="left"))
+    lo = hi - 1
+    if sums[lo] == sums[hi]:
+        nu = points[lo]
+    else:
+        frac = (sums[lo] - eq_target) / (sums[lo] - sums[hi])
+        nu = points[lo] + frac * (points[hi] - points[lo])
+    return np.clip(z - nu, lower, upper)
+
+
+class TestBreakpointProjection:
+    def test_matches_clipped_sum_formula(self):
+        rng = np.random.default_rng(8)
+        worst = 0.0
+        for case in range(2000):
+            n = int(rng.integers(1, 40))
+            lower = rng.uniform(-2.0, 0.0, n)
+            upper = lower + rng.uniform(0.0, 2.0, n)
+            z = rng.uniform(-3.0, 3.0, n)
+            kind = case % 4
+            if kind == 1:  # tied breakpoints: everything on a half-integer grid
+                lower = np.round(2.0 * lower) / 2.0
+                upper = lower + np.round(2.0 * rng.uniform(0.0, 2.0, n)) / 2.0
+                z = np.round(2.0 * z) / 2.0
+            elif kind == 2:  # some boxes collapse to a point
+                upper = np.where(rng.random(n) < 0.5, lower, upper)
+            target = float(rng.uniform(lower.sum(), upper.sum()))
+            if kind == 3:
+                target = float(lower.sum() if case % 8 == 3 else upper.sum())
+            expected = old_projection(z, lower, upper, target)
+            got = project_feasible(z, lower, upper, target)
+            worst = max(worst, float(np.max(np.abs(got - expected))))
+        assert worst <= 1e-15
+
+
+def pi_shaped(seed, n, delta, c2, c3, k=5, m=6, r=3):
+    """An instance-weight QP on a random graph, as an operator and as dense H.
+
+    Returns (operator problem, dense problem). The dense Hessian
+    2 c2 (I - W)'(I - W) + U U' is built here only, as the reference.
+    """
+    rng = np.random.default_rng(seed)
+    k = min(k, n - 1)
+    neighbors = np.array(
+        [rng.choice(np.delete(np.arange(n), i), k, replace=False) for i in range(n)]
+    )
+    graph = NeighborhoodGraph(neighbors, rng.dirichlet(np.ones(k), n))
+    features = rng.standard_normal((n, m))
+    theta = np.linalg.qr(rng.standard_normal((m, r)))[0].T
+    projected = features @ theta.T
+    lin = rng.uniform(0.0, 2.0, n) - (c3 / n) * projected @ rng.standard_normal(r)
+    basis = np.sqrt(c3) / n * projected
+    residual = np.eye(n)
+    np.subtract.at(
+        residual, (np.repeat(np.arange(n), k), neighbors.ravel()), graph.weights.ravel()
+    )
+    dense = 2.0 * c2 * residual.T @ residual + basis @ basis.T
+    bounds = (np.zeros(n), np.full(n, delta), float(n))
+    return (
+        BoxEqQP(InstanceWeightHessian(graph, c2, basis), lin, *bounds),
+        BoxEqQP(dense, lin, *bounds),
+    )
+
+
+def certificate_holds(problem, x):
+    """Free projected gradient within 1e-11 and multipliers within 1e-10 of scale."""
+    grad = problem.hess @ x + problem.lin
+    scale = max(1.0, float(np.max(np.abs(grad))))
+    at_lo, at_up = x <= problem.lower, x >= problem.upper
+    free = ~(at_lo | at_up)
+    if free.any():
+        lam = grad[free].mean()
+    else:  # any multiplier between the two bound groups certifies a vertex
+        lam = grad[at_up].max() if at_up.any() else grad[at_lo].min()
+    ok = np.max(np.abs(grad[free] - lam), initial=0.0) <= 1e-11 * scale
+    ok &= np.all(grad[at_lo & ~at_up] - lam >= -1e-10 * scale)
+    return bool(ok & np.all(grad[at_up & ~at_lo] - lam <= 1e-10 * scale))
+
+
+class TestGPCG:
+    """GPCG on operator Hessians against the dense active set."""
+
+    def test_matches_active_set_on_pi_shaped_instances(self):
+        rng = np.random.default_rng(9)
+        worst_gap = 0.0
+        for seed in range(50):
+            n = int(np.exp(rng.uniform(np.log(5), np.log(400))))
+            if seed < 3:
+                n = 400
+            delta = (1.0, 1.5, 3.0, 50.0)[seed % 4]
+            c3 = (0.0, 1.0, 100.0)[seed % 3]
+            c2 = float(rng.uniform(0.2, 3.0))
+            operator, dense = pi_shaped(seed, n, delta, c2, c3)
+            reference = solve_qp(dense)
+            sol = solve_qp(operator)
+            scale = max(1.0, abs(reference.objective))
+            worst_gap = max(worst_gap, abs(sol.objective - reference.objective) / scale)
+            assert certificate_holds(dense, sol.x), seed
+            assert abs(sol.x.sum() - n) <= 1e-9 * n
+            assert np.all(sol.x >= 0.0) and np.all(sol.x <= delta)
+            # Warm starts, from the reference and from a random feasible point.
+            warm = solve_qp(operator, start=reference.x)
+            assert warm.objective <= reference.objective + 1e-12 * scale
+            start = project_feasible(
+                rng.uniform(0.0, delta, n), operator.lower, operator.upper, float(n)
+            )
+            restarted = solve_qp(operator, start=start)
+            assert restarted.objective <= operator.objective(start)
+        assert worst_gap <= 1e-9
+
+    def test_zero_curvature_faces(self):
+        # c2 = c3 = 0 leaves a linear program, solved by the greedy fill; with
+        # c2 = 0 alone, every face wider than r + 1 has flat directions, and
+        # the KKT certificate is the check (the dense active set fails there).
+        for seed in range(10):
+            operator, dense = pi_shaped(100 + seed, 60, 2.5, 0.0, float(seed % 2))
+            sol = solve_qp(operator, start=np.ones(60))
+            if seed % 2:
+                assert certificate_holds(dense, sol.x), seed
+                continue
+            greedy = np.zeros(60)
+            mass = 60.0
+            for i in np.argsort(operator.lin):
+                greedy[i] = min(2.5, mass)
+                mass -= greedy[i]
+            np.testing.assert_allclose(sol.x, greedy, atol=1e-9)
