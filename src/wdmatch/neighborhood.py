@@ -2,8 +2,11 @@
 
 Every point is expressed as a convex combination of its k nearest neighbors;
 the combination weights minimize the squared reconstruction error over the
-probability simplex. Those weights later regularize both the source instance
-weights and the target classification responses.
+probability simplex (LLE weights with a sign constraint; Roweis & Saul,
+Science 290, 2000). Those weights later regularize both the source instance
+weights and the target classification responses. :func:`build_graph` solves
+the n small simplex QPs of a point set together, in one vectorised active
+set; :func:`solve_reconstruction` solves one through the general QP solver.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ import numpy as np
 from dataclasses import dataclass
 
 from .data import DomainDataset
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .qp import BoxEqQP, solve_qp
 
 _GRAM_RIDGE = 1e-10
 _ROW_SUM_TOL = 1e-9
+_MULT_TOL = 1e-10  # wrong-sign multiplier that releases a zero weight
 
 
 @dataclass(frozen=True)
@@ -114,15 +118,29 @@ def build_knn(dataset, k: int, block_rows: int = 1024) -> np.ndarray:
     return neighbors
 
 
+def _scaled_grams(diffs) -> np.ndarray:
+    """Gram matrices of a (..., k, m) stack of differences x - neighbor.
+
+    Under the sum-to-one constraint the residual equals sum_k w_k (x - n_k),
+    so the problem reduces to the Gram matrix of the differences; that form
+    is translation-invariant and much better conditioned. The weights do not
+    change when a Gram matrix is scaled, so each is scaled by the power of two
+    that brings its trace into [0.5, 1); that is exact, and keeps absolute
+    tolerances meaningful for features of any magnitude. A ridge of
+    1e-10 * trace keeps coincident neighbors from making it singular.
+    """
+    gram = diffs @ np.swapaxes(diffs, -1, -2)
+    exponent = np.frexp(np.trace(gram, axis1=-2, axis2=-1))[1]
+    gram = np.ldexp(gram, -exponent[..., None, None])
+    ridge = _GRAM_RIDGE * np.trace(gram, axis1=-2, axis2=-1)
+    return gram + ridge[..., None, None] * np.eye(gram.shape[-1])
+
+
 def solve_reconstruction(point, neighbors) -> np.ndarray:
     """Convex coefficients minimizing ||point - sum_k w_k neighbor_k||^2.
 
-    The simplex-constrained problem is passed to the active-set QP solver; a
-    ridge of 1e-10 * trace keeps coincident neighbors from producing a
-    singular Gram matrix. The weights do not change when the Gram matrix is
-    scaled, so it is scaled by the power of two that brings its trace into
-    [0.5, 1); that is exact, and keeps the solver's absolute tolerances
-    meaningful for features of any magnitude.
+    The simplex-constrained problem on the scaled Gram matrix of
+    :func:`_scaled_grams` is passed to the general QP solver.
     """
     x = np.asarray(point, dtype=np.float64).reshape(-1)
     nbrs = np.asarray(neighbors, dtype=np.float64)
@@ -133,15 +151,8 @@ def solve_reconstruction(point, neighbors) -> np.ndarray:
             f"neighbor dimension {nbrs.shape[1]} does not match point dimension {x.size}"
         )
     k = nbrs.shape[0]
-    # Under the sum-to-one constraint the residual equals sum_k w_k (x - n_k),
-    # so the problem reduces to the Gram matrix of the differences; that form
-    # is translation-invariant and much better conditioned.
-    diffs = x[None, :] - nbrs
-    gram = diffs @ diffs.T
-    gram = np.ldexp(gram, -np.frexp(np.trace(gram))[1])
-    gram += _GRAM_RIDGE * np.trace(gram) * np.eye(k)
     problem = BoxEqQP(
-        hess=2.0 * gram,
+        hess=2.0 * _scaled_grams(x[None, :] - nbrs),
         lin=np.zeros(k),
         lower=np.zeros(k),
         upper=np.ones(k),
@@ -152,14 +163,76 @@ def solve_reconstruction(point, neighbors) -> np.ndarray:
     return omega / omega.sum()
 
 
+def _simplex_weights(gram) -> np.ndarray:
+    """Minimize w'Gw over the probability simplex for each G of an (n, k, k) stack.
+
+    A primal active set, run on all rows at once. The working set holds the
+    weights fixed at zero. Each round solves, for every unfinished row, the
+    bordered system for the step from the current weights to the minimizer
+    over the free weights; its right-hand side is the projected gradient, so
+    a row already at that minimizer does not move. The first weight that
+    would turn negative stops the step and joins the working set (lowest
+    index on ties). A row that completes its step releases the lowest-index
+    zero weight whose multiplier is below -1e-10, and is finished when there
+    is none. A zero Gram matrix (every neighbor coincides with the point)
+    keeps uniform weights. Rows still unfinished after 50 k rounds raise
+    :class:`ConvergenceError`.
+    """
+    n, k, _ = gram.shape
+    weights = np.full((n, k), 1.0 / k)
+    free = np.ones((n, k), dtype=bool)
+    rows = np.flatnonzero(np.trace(gram, axis1=1, axis2=2) > 0.0)
+    eye = np.eye(k, dtype=bool)
+
+    def projected_gradient(g, x, f):
+        grad = np.einsum("tij,tj->ti", g, x)
+        lam = np.where(f, grad, 0.0).sum(axis=1) / f.sum(axis=1)
+        return grad - lam[:, None]
+
+    for _ in range(50 * k):
+        if not rows.size:
+            break
+        g, x, f = gram[rows], weights[rows], free[rows]
+        at = np.arange(rows.size)
+        system = np.zeros((rows.size, k + 1, k + 1))
+        system[:, :k, :k] = np.where(f[:, :, None] & f[:, None, :], g, eye)
+        system[:, :k, k] = system[:, k, :k] = f
+        rhs = np.zeros((rows.size, k + 1, 1))
+        rhs[:, :k, 0] = np.where(f, -projected_gradient(g, x, f), 0.0)
+        step = np.where(f, np.linalg.solve(system, rhs)[:, :k, 0], 0.0)
+        room = np.divide(x, -step, out=np.full(x.shape, np.inf), where=step < 0.0)
+        blocker = room.argmin(axis=1)
+        alpha = np.minimum(room[at, blocker], 1.0)
+        blocked = alpha < 1.0
+        x = np.maximum(x + alpha[:, None] * step, 0.0)
+        x[at[blocked], blocker[blocked]] = 0.0
+        f[at[blocked], blocker[blocked]] = False
+
+        wrong = ~f & ~blocked[:, None] & (projected_gradient(g, x, f) < -_MULT_TOL)
+        release = wrong.any(axis=1)
+        f[at[release], wrong.argmax(axis=1)[release]] = True
+        weights[rows], free[rows] = x, f
+        rows = rows[blocked | release]
+    if rows.size:
+        raise ConvergenceError(
+            f"reconstruction weights of {rows.size} points unfinished "
+            f"after {50 * k} active-set rounds"
+        )
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 def build_graph(dataset, k: int) -> NeighborhoodGraph:
-    """Compose :func:`build_knn` and :func:`solve_reconstruction` per point."""
+    """kNN graph of :func:`build_knn` with every point's reconstruction weights.
+
+    Every point's weights solve the problem :func:`solve_reconstruction`
+    solves for one point; all are computed together by one vectorised active
+    set.
+    """
     points = _as_matrix(dataset)
     neighbors = build_knn(points, k)
-    weights = np.empty_like(neighbors, dtype=np.float64)
-    for i in range(points.shape[0]):
-        weights[i] = solve_reconstruction(points[i], points[neighbors[i]])
-    return NeighborhoodGraph(neighbors, weights)
+    diffs = points[neighbors]
+    np.subtract(points[:, None, :], diffs, out=diffs)
+    return NeighborhoodGraph(neighbors, _simplex_weights(_scaled_grams(diffs)))
 
 
 def reconstruction_residuals(points, graph: NeighborhoodGraph) -> np.ndarray:

@@ -2,20 +2,15 @@
 
 Solves  minimize 0.5 x'Hx + f'x  subject to  lower <= x <= upper and
 sum(x) = eq_target, with H symmetric positive semidefinite. H is either a
-dense array or a linear operator, an object whose ``matvec(x)`` returns Hx.
+dense array or a linear operator, an object whose ``matvec(x)`` returns Hx;
+the solver only ever asks for products Hx, so both are handled alike.
 
-A dense H is solved by a primal active-set method meant for small problems:
-coordinates pinned at a bound form the working set, the reduced
-equality-constrained subproblem is solved through a bordered linear system,
-and bounds are added or dropped one at a time with a lowest-index rule so the
-method cannot cycle.
-
-An operator H is solved by GPCG (More & Toraldo, SIAM J. Optim. 1, 1991),
-which needs only products Hx: projected gradient steps with an Armijo search
-change many bounds at once, and conjugate gradients then minimize over the
-face those steps settle on. Both paths share the exact projection onto the
-feasible set, the start-point handling and the KKT certificate. A plain
-projected-gradient routine is provided purely as a cross-check for tests.
+The method is GPCG (More & Toraldo, SIAM J. Optim. 1, 1991): projected
+gradient steps with an Armijo search change many bounds at once, and
+conjugate gradients then minimize over the face those steps settle on. It is
+built on the exact projection onto the feasible set and stops on a KKT
+certificate. A plain projected-gradient routine is provided purely as a
+cross-check for tests.
 """
 
 from __future__ import annotations
@@ -106,8 +101,7 @@ class BoxEqQP:
 class QPSolution:
     """Solver output: feasible point, objective value and a KKT certificate.
 
-    ``iterations`` counts active-set steps for a dense Hessian, and Hessian
-    products in search trials and CG steps for an operator.
+    ``iterations`` counts Hessian products, in search trials and CG steps.
     """
 
     x: np.ndarray
@@ -172,26 +166,36 @@ def project_feasible(z, lower, upper, eq_target) -> np.ndarray:
     return np.minimum(np.maximum(z - nu, lower), upper)
 
 
+def _multiplier(grad, at_lo, at_up) -> float:
+    """Sum-constraint multiplier for the partition into bound and free coordinates.
+
+    The mean free gradient when a coordinate is free; at a vertex, the
+    midpoint between the lowest gradient at a lower bound and the highest at
+    an upper bound, which certifies the vertex whenever any value does.
+    """
+    free = ~(at_lo | at_up)
+    if free.any():
+        return float(grad[free].mean())
+    pinned = at_lo & at_up
+    lo_only = at_lo & ~pinned
+    up_only = at_up & ~pinned
+    hi = grad[lo_only].min() if lo_only.any() else np.inf
+    lo = grad[up_only].max() if up_only.any() else -np.inf
+    if np.isinf(hi) and np.isinf(lo):
+        return 0.0
+    if np.isinf(hi):
+        return float(lo)
+    if np.isinf(lo):
+        return float(hi)
+    return float(0.5 * (lo + hi))
+
+
 def _stationarity_residual(problem, x, at_lo, at_up):
     """KKT residual of x for the working-set partition (absolute scale)."""
     grad = problem.matvec(x) + problem.lin
     pinned = at_lo & at_up
     free = ~(at_lo | at_up)
-    if free.any():
-        lam = float(grad[free].mean())
-    else:
-        lo_only = at_lo & ~pinned
-        up_only = at_up & ~pinned
-        hi = grad[lo_only].min() if lo_only.any() else np.inf
-        lo = grad[up_only].max() if up_only.any() else -np.inf
-        if np.isinf(hi) and np.isinf(lo):
-            lam = 0.0
-        elif np.isinf(hi):
-            lam = float(lo)
-        elif np.isinf(lo):
-            lam = float(hi)
-        else:
-            lam = float(0.5 * (lo + hi))
+    lam = _multiplier(grad, at_lo, at_up)
     residual = 0.0
     if free.any():
         residual = float(np.max(np.abs(grad[free] - lam)))
@@ -206,14 +210,15 @@ def _stationarity_residual(problem, x, at_lo, at_up):
 
 
 def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
-    """Minimize the QP: active set for a dense Hessian, GPCG for an operator.
+    """Minimize the QP by GPCG.
 
     ``start`` must be feasible when given; the solver then never returns a
-    point with a larger objective. Both methods stop once the free projected
-    gradient is within 1e-11, and every bound multiplier within 1e-10 of the
-    right sign, of the largest gradient entry. The iteration cap is ``50 * n``;
-    if the KKT residual still exceeds 1e-6 there, a :class:`ConvergenceError`
-    is raised.
+    point with a larger objective. It stops once the free projected gradient
+    is within 1e-11, and every bound multiplier within 1e-10 of the right
+    sign, of the largest gradient entry. The cap is ``50 * n`` Hessian
+    products; if the KKT residual still exceeds 1e-6 of the largest gradient
+    entry (or 1e-6, if that entry is smaller than 1) there, a
+    :class:`ConvergenceError` is raised.
     """
     n = problem.n
     lower, upper = problem.lower, problem.upper
@@ -234,25 +239,12 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
             x = project_feasible(x, lower, upper, problem.eq_target)
     start_objective = problem.objective(x)
 
-    snap = 1e-12 * np.maximum(1.0, np.abs(upper - lower))
-    at_lo = (x - lower) <= snap
-    at_up = (upper - x) <= snap
-    x = np.where(at_lo, lower, x)
-    x = np.where(at_up, upper, x)
-
-    if problem.dense:
-        method = "active-set"
-        iterations = _active_set(problem, x, at_lo, at_up)
-    else:
-        method = "GPCG"
-        x, iterations = _gpcg(problem, x)
-        at_lo, at_up = x <= lower, x >= upper
-
+    x, iterations = _gpcg(problem, x)
     x = np.clip(x, lower, upper)
-    residual, _, _ = _stationarity_residual(problem, x, at_lo, at_up)
-    if residual > _KKT_LIMIT:
+    residual, _, grad = _stationarity_residual(problem, x, x <= lower, x >= upper)
+    if residual > _KKT_LIMIT * max(1.0, float(np.max(np.abs(grad)))):
         raise ConvergenceError(
-            f"{method} solver stopped after {iterations} iterations with "
+            f"GPCG stopped after {iterations} Hessian products with "
             f"KKT residual {residual:.3e}"
         )
     objective = problem.objective(x)
@@ -265,46 +257,6 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
     )
 
 
-def _active_set(problem, x, at_lo, at_up) -> int:
-    """Primal active-set iterations on x and its working set, in place.
-
-    Returns the iteration count.
-    """
-    lower, upper = problem.lower, problem.upper
-    movable = upper > lower
-    max_iter = 50 * problem.n
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
-        grad = problem.hess @ x + problem.lin
-        scale = max(1.0, float(np.max(np.abs(grad))))
-        free = ~(at_lo | at_up)
-        idx_free = np.flatnonzero(free)
-
-        moved = False
-        if idx_free.size >= 2:
-            g_free = grad[idx_free]
-            lam = g_free.mean()
-            proj_grad = g_free - lam
-            if np.max(np.abs(proj_grad)) > _STAT_TOL * scale:
-                step = _subproblem_direction(problem.hess, idx_free, g_free)
-                if step is None or float(g_free @ step) > -1e-14 * scale:
-                    step = -proj_grad  # projected steepest descent fallback
-                moved = _take_step(x, at_lo, at_up, lower, upper, idx_free, step)
-                if moved:
-                    continue
-
-        # Working-set stationary point: check bound multipliers.
-        _, lam, grad = _stationarity_residual(problem, x, at_lo, at_up)
-        drops = np.flatnonzero(_wrong_sign(grad - lam, at_lo, at_up, movable, scale))
-        if drops.size == 0:
-            break
-        drop = drops[0]
-        at_lo[drop] = False
-        at_up[drop] = False
-    return iterations
-
-
 def _wrong_sign(dual, at_lo, at_up, movable, scale):
     """Bound coordinates whose multiplier has the wrong sign beyond 1e-10 x scale."""
     tol = _MULT_TOL * scale
@@ -312,11 +264,12 @@ def _wrong_sign(dual, at_lo, at_up, movable, scale):
 
 
 def _gpcg(problem, x):
-    """GPCG iterations from the feasible point x, which has exact bound values.
+    """GPCG iterations from the feasible point x.
 
-    Each round checks the KKT certificate, takes projected gradient steps
-    until the binding set settles, then runs CG on the resulting face. CG
-    stops early (More-Toraldo) only after projected gradient steps that
+    Each round puts coordinates within 1e-12 box widths of a bound onto it,
+    so that rounding cannot leave one free a hair off its bound, checks the
+    KKT certificate, takes projected gradient steps until the binding set
+    settles, then runs CG on the resulting face. CG stops early (More-Toraldo) only after projected gradient steps that
     changed the binding set. When CG ends at a new bound, the next round goes
     straight back to CG on the smaller face: bounds are released only by
     projected gradient steps taken where CG stopped inside its face, so
@@ -328,7 +281,10 @@ def _gpcg(problem, x):
     max_iter = 50 * problem.n
     iterations = 0
     blocked = False
+    snap = 1e-12 * np.maximum(1.0, upper - lower)
     while iterations < max_iter:
+        x = np.where(x - lower <= snap, lower, x)
+        x = np.where(upper - x <= snap, upper, x)
         at_lo, at_up = x <= lower, x >= upper
         _, lam, grad = _stationarity_residual(problem, x, at_lo, at_up)
         scale = max(1.0, float(np.max(np.abs(grad))))
@@ -372,7 +328,7 @@ def _gradient_projection(problem, x, grad):
     for _ in range(_GP_STEPS):
         at_lo, at_up = x <= lower, x >= upper
         free = ~(at_lo | at_up)
-        pivot = float(grad[free].mean()) if free.any() else float(np.median(grad))
+        pivot = _multiplier(grad, at_lo, at_up)
         released = (at_lo & (grad < pivot)) | (at_up & (grad > pivot))
         moving = free | (movable & released)
         if moving.sum() < 2:
@@ -512,80 +468,6 @@ def _bound_step(problem, x, free, direction, alpha, alpha_max, blocker):
     if score(moved)[1] <= 0.0:
         moved = None
     return moved, products
-
-
-def _subproblem_direction(hess, idx_free, g_free):
-    """Direction for the free coordinates from the bordered KKT system.
-
-    Solves  min 0.5 p'Ap + g'p  s.t. sum(p) = 0  on the free block, with a
-    tiny ridge so the system stays solvable for singular PSD blocks; for an
-    unbounded subproblem the ratio test will cut the move at a bound.
-    """
-    nf = idx_free.size
-    block = hess[np.ix_(idx_free, idx_free)]
-    ridge = 1e-12 * (1.0 + float(np.trace(block)) / nf)
-    kkt = np.empty((nf + 1, nf + 1))
-    kkt[:nf, :nf] = block + ridge * np.eye(nf)
-    kkt[:nf, nf] = 1.0
-    kkt[nf, :nf] = 1.0
-    kkt[nf, nf] = 0.0
-    rhs = np.concatenate([-g_free, [0.0]])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    if not np.all(np.isfinite(sol)):
-        return None
-    return sol[:nf]
-
-
-def _take_step(x, at_lo, at_up, lower, upper, idx_free, step):
-    """Move the free coordinates along ``step`` until a bound blocks.
-
-    Returns False for a numerically empty move. The blocking coordinate with
-    the lowest index joins the working set exactly at its bound.
-    """
-    if np.max(np.abs(step)) <= 0.0:
-        return False
-    alpha = 1.0
-    blocker = -1
-    blocker_high = False
-    for pos, i in enumerate(idx_free):
-        direction = step[pos]
-        if direction > 0.0:
-            room = (upper[i] - x[i]) / direction
-            high = True
-        elif direction < 0.0:
-            room = (lower[i] - x[i]) / direction
-            high = False
-        else:
-            continue
-        room = max(room, 0.0)
-        if room < alpha - 1e-15:
-            alpha = room
-            blocker = i
-            blocker_high = high
-    if alpha <= 0.0 and blocker >= 0:
-        # Degenerate move: pin the blocking coordinate and report progress
-        # through the working-set change.
-        if blocker_high:
-            x[blocker] = upper[blocker]
-            at_up[blocker] = True
-        else:
-            x[blocker] = lower[blocker]
-            at_lo[blocker] = True
-        return True
-    if alpha <= 0.0:
-        return False
-    x[idx_free] += alpha * step
-    if blocker >= 0:
-        if blocker_high:
-            x[blocker] = upper[blocker]
-            at_up[blocker] = True
-        else:
-            x[blocker] = lower[blocker]
-            at_lo[blocker] = True
-    return True
 
 
 def projected_gradient_oracle(

@@ -129,7 +129,7 @@ def test_criterion_3_qp_oracle_equivalence():
     elapsed = time.perf_counter() - started
     ok = worst_x <= 1e-5 and worst_obj <= 1e-8 and elapsed <= 5.0
     assert report(
-        3, "active set matches projected-gradient oracle on 50 QPs",
+        3, "solve_qp matches projected-gradient oracle on 50 QPs",
         ok,
         f"max |x| gap {worst_x:.2e}, max objective gap {worst_obj:.2e}, "
         f"runtime {elapsed:.1f}s",

@@ -117,7 +117,85 @@ class TestSolveReconstruction:
         )
 
 
+def graph_and_reference(points, k):
+    """build_graph's graph and, per point, solve_reconstruction's weights."""
+    graph = build_graph(points, k)
+    reference = np.array([
+        solve_reconstruction(points[i], points[graph.neighbors[i]])
+        for i in range(points.shape[0])
+    ])
+    return graph, reference
+
+
 class TestBuildGraph:
+    @pytest.mark.parametrize(
+        "points, k",
+        [
+            (np.random.default_rng(seed).standard_normal((80, 6)), 5)
+            for seed in range(3)
+        ]
+        + [
+            (np.random.default_rng(3).standard_normal((20, 3)), 1),
+            (np.random.default_rng(4).standard_normal((7, 8)), 6),
+            (np.random.default_rng(5).standard_normal((12, 12)), 11),
+        ],
+        ids=["random-0", "random-1", "random-2", "k=1", "k=n-1", "k=n-1-square"],
+    )
+    def test_weights_match_reference(self, points, k):
+        # k <= m throughout: with more neighbors than dimensions the
+        # differences are linearly dependent, the 1e-10 ridge alone decides
+        # the weights (condition number about 1e10), and solvers that meet
+        # the same certificate can disagree by far more than 1e-10.
+        graph, reference = graph_and_reference(points, k)
+        np.testing.assert_allclose(graph.weights, reference, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coincident_neighbors_get_uniform_weights(self, seed):
+        # Four copies of one point among random points: with k = 3, each
+        # copy's neighbors all coincide with it.
+        rng = np.random.default_rng(seed)
+        points = np.vstack([np.tile(rng.standard_normal(3), (4, 1)),
+                            rng.standard_normal((20, 3))])
+        graph = build_graph(points, 3)
+        uniform = np.full(3, 1.0 / 3.0)
+        for i in range(4):
+            np.testing.assert_array_equal(graph.weights[i], uniform)
+            np.testing.assert_array_equal(
+                solve_reconstruction(points[i], points[graph.neighbors[i]]), uniform
+            )
+
+    def test_coincident_pair_splits_evenly(self):
+        # A point whose two neighbors coincide: only the ridge decides their
+        # split, which by symmetry is even. Solving for the step from the
+        # uniform start keeps it exact; solving the bordered system for the
+        # weights themselves misses by up to 1e-6 (condition number 1e10).
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(1, 6))
+            pair = rng.standard_normal(m)
+            points = np.vstack([rng.standard_normal(m), pair, pair,
+                                100.0 + rng.standard_normal((3, m))])
+            np.testing.assert_array_equal(build_graph(points, 2).weights[0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicated_points(self, seed):
+        # Every point appears twice. A point's twin is its nearest neighbor,
+        # at distance zero, and takes all but about 1e-10 of its weight; the
+        # other neighbors come in coincident pairs, whose split of the rest is
+        # not resolved below the 1e-10 multiplier tolerance. Summed over each
+        # group of coincident neighbors, the weights match the reference.
+        points = np.random.default_rng(seed).standard_normal((30, 4))
+        points = np.vstack([points, points])
+        graph, reference = graph_and_reference(points, 3)
+        twins = np.concatenate([np.arange(30, 60), np.arange(30)])
+        np.testing.assert_array_equal(graph.neighbors[:, 0], twins)
+        np.testing.assert_allclose(graph.weights, reference, rtol=0, atol=1e-9)
+        for i in range(60):
+            groups = graph.neighbors[i] % 30
+            for j in np.unique(groups):
+                assert abs(graph.weights[i][groups == j].sum()
+                           - reference[i][groups == j].sum()) <= 1e-10
+
     def test_collinear_midpoint(self):
         graph = build_graph(np.array([[0.0], [1.0], [2.0]]), 2)
         middle = graph.weights[1][np.argsort(graph.neighbors[1])]
@@ -198,6 +276,15 @@ class TestFeatureScale:
                     solve_reconstruction(np.ldexp(point, power), np.ldexp(nbrs, power)),
                     base,
                 )
+
+    @pytest.mark.parametrize("scale", 10.0 ** np.arange(-8, 7))
+    def test_graph_matches_reference_at_scale(self, scale):
+        points = np.random.default_rng(22).standard_normal((40, 5))
+        graph, reference = graph_and_reference(scale * points, 4)
+        np.testing.assert_allclose(graph.weights, reference, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            graph.weights, build_graph(points, 4).weights, atol=1e-10
+        )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_graph_on_raw_scale_features(self, seed):

@@ -277,10 +277,63 @@ def certificate_holds(problem, x):
     return bool(ok & np.all(grad[at_up & ~at_lo] - lam <= 1e-10 * scale))
 
 
-class TestGPCG:
-    """GPCG on operator Hessians against the dense active set."""
+def frank_wolfe_gap(problem, x):
+    """g'x - min over feasible y of g'y, g the gradient at x: bounds f(x) - f*.
 
-    def test_matches_active_set_on_pi_shaped_instances(self):
+    The minimizing y is the greedy fill of the box-plus-sum set: the cheapest
+    coordinates first, each up to its upper bound (lower bounds are zero).
+    """
+    grad = problem.hess @ x + problem.lin
+    fill = np.zeros(problem.n)
+    mass = problem.eq_target
+    for i in np.argsort(grad):
+        fill[i] = min(problem.upper[i], mass)
+        mass -= fill[i]
+    return float(grad @ (x - fill))
+
+
+class MatrixOperator:
+    """A dense matrix seen only through its products."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def matvec(self, x):
+        return self.matrix @ x
+
+
+# Difference Gram matrices met while reconstructing points, on which GPCG
+# stalled at a vertex: the first when it released bounds by the median
+# gradient with no coordinate free, the second when a coordinate 2.2e-16 above
+# its bound counted as free.
+VERTEX_GRAM = np.array([
+    [0.06490954457785589, 0.06895866468407942, 0.06206655124891919,
+     0.07542903061113271, 0.09952128895870327],
+    [0.06895866468407942, 0.11792323760977654, 0.02452840638522255,
+     0.04522776595070178, 0.05744058209546572],
+    [0.06206655124891919, 0.02452840638522255, 0.12167394315492029,
+     0.08559855005550591, 0.12085311065278202],
+    [0.07542903061113271, 0.04522776595070178, 0.08559855005550591,
+     0.21629432081391706, 0.20079969998726818],
+    [0.09952128895870327, 0.05744058209546572, 0.12085311065278202,
+     0.20079969998726818, 0.23214941972445113],
+])
+NEAR_BOUND_GRAM = np.array([
+    [0.05152203016911503, 0.052677627549904564, 0.06568972029933556,
+     0.09350598825584874],
+    [0.052677627549904564, 0.1940801699505332, 0.002668769349222271,
+     -0.033729903446889205],
+    [0.06568972029933556, 0.002668769349222271, 0.263866460519527,
+     0.16068021626516452],
+    [0.09350598825584874, -0.033729903446889205, 0.16068021626516452,
+     0.29115177667336584],
+])
+
+
+class TestGPCG:
+    """GPCG on operator Hessians, certified without a second solver."""
+
+    def test_frank_wolfe_gap_on_pi_shaped_instances(self):
         rng = np.random.default_rng(9)
         worst_gap = 0.0
         for seed in range(50):
@@ -291,16 +344,15 @@ class TestGPCG:
             c3 = (0.0, 1.0, 100.0)[seed % 3]
             c2 = float(rng.uniform(0.2, 3.0))
             operator, dense = pi_shaped(seed, n, delta, c2, c3)
-            reference = solve_qp(dense)
             sol = solve_qp(operator)
-            scale = max(1.0, abs(reference.objective))
-            worst_gap = max(worst_gap, abs(sol.objective - reference.objective) / scale)
+            scale = max(1.0, abs(sol.objective))
+            worst_gap = max(worst_gap, frank_wolfe_gap(dense, sol.x) / scale)
             assert certificate_holds(dense, sol.x), seed
             assert abs(sol.x.sum() - n) <= 1e-9 * n
             assert np.all(sol.x >= 0.0) and np.all(sol.x <= delta)
-            # Warm starts, from the reference and from a random feasible point.
-            warm = solve_qp(operator, start=reference.x)
-            assert warm.objective <= reference.objective + 1e-12 * scale
+            # Warm starts, from the solution and from a random feasible point.
+            warm = solve_qp(operator, start=sol.x)
+            assert warm.objective <= sol.objective + 1e-12 * scale
             start = project_feasible(
                 rng.uniform(0.0, delta, n), operator.lower, operator.upper, float(n)
             )
@@ -311,7 +363,7 @@ class TestGPCG:
     def test_zero_curvature_faces(self):
         # c2 = c3 = 0 leaves a linear program, solved by the greedy fill; with
         # c2 = 0 alone, every face wider than r + 1 has flat directions, and
-        # the KKT certificate is the check (the dense active set fails there).
+        # the KKT certificate is the check.
         for seed in range(10):
             operator, dense = pi_shaped(100 + seed, 60, 2.5, 0.0, float(seed % 2))
             sol = solve_qp(operator, start=np.ones(60))
@@ -324,3 +376,52 @@ class TestGPCG:
                 greedy[i] = min(2.5, mass)
                 mass -= greedy[i]
             np.testing.assert_allclose(sol.x, greedy, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "gram", [VERTEX_GRAM, NEAR_BOUND_GRAM], ids=["no-free-vertex", "near-bound"]
+    )
+    def test_simplex_vertices(self, gram):
+        k = gram.shape[0]
+        bounds = (np.zeros(k), np.zeros(k), np.ones(k), 1.0)
+        dense = BoxEqQP(2.0 * gram, *bounds)
+        sol = solve_qp(BoxEqQP(MatrixOperator(2.0 * gram), *bounds))
+        assert certificate_holds(dense, sol.x)
+        assert frank_wolfe_gap(dense, sol.x) <= 1e-12
+        assert sol.kkt_residual <= 1e-11
+
+
+class ScaledOperator:
+    """Products with ``factor`` times an operator's matrix."""
+
+    def __init__(self, operator, factor):
+        self.operator, self.factor = operator, factor
+
+    def matvec(self, x):
+        return self.factor * self.operator.matvec(x)
+
+
+class TestRelativeKKTLimit:
+    """A QP's certificate does not depend on the scale of H and f."""
+
+    @pytest.mark.parametrize("form", ["dense", "operator"])
+    @pytest.mark.parametrize("factor", [1e4, 1e6, 1e8])
+    def test_scaled_pi_instances(self, factor, form):
+        rng = np.random.default_rng(5)
+        for seed in range(30):
+            n = int(np.exp(rng.uniform(np.log(5), np.log(200))))
+            delta = (1.0, 1.5, 3.0, 50.0)[seed % 4]
+            c3 = (0.0, 1.0, 100.0)[seed % 3]
+            c2 = float(rng.uniform(0.2, 3.0))
+            operator, dense = pi_shaped(200 + seed, n, delta, c2, c3)
+            unscaled = solve_qp(operator).x
+            bounds = (operator.lower, operator.upper, operator.eq_target)
+            scaled_dense = BoxEqQP(factor * dense.hess, factor * dense.lin, *bounds)
+            if form == "dense":
+                problem = scaled_dense
+            else:
+                problem = BoxEqQP(
+                    ScaledOperator(operator.hess, factor), factor * operator.lin, *bounds
+                )
+            sol = solve_qp(problem)
+            assert certificate_holds(scaled_dense, sol.x), seed
+            np.testing.assert_allclose(sol.x, unscaled, atol=1e-10)
