@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .data import (
     synthetic_pair_with_hidden_labels,
 )
 from .errors import ConfigError, ValidationError
-from .model import HyperParams, classify_target, hinge_losses
+from .model import HyperParams, classify_target, hinge_losses, hinge_subgradient
 from .optimizer import fit, halving_descent
 
 PROPOSED = "proposed"
@@ -68,8 +68,7 @@ def train_hinge_classifier(
         return float(hinge_losses(features @ params[0], labels).sum())
 
     def gradient(params):
-        slack = 1.0 - labels * (features @ params[0])
-        return (-(features.T @ ((slack >= 0.0) * labels)),)
+        return (hinge_subgradient(features, labels, params[0]),)
 
     (w,) = halving_descent(value, gradient, (np.zeros(features.shape[1]),), iters, rho)
     return w
@@ -265,7 +264,7 @@ def _fold_worker(payload):
         trace = None
         terms = None
         if method in (PROPOSED, NO_ADAPTATION):
-            fold_hp = hp if method == PROPOSED else hp.with_overrides(c3=0.0)
+            fold_hp = hp if method == PROPOSED else replace(hp, c3=0.0)
             state = fit(source, fold_target, fold_hp)
             scores = classify_target(state.model, test_x)
             trace = list(state.objective_trace)
@@ -392,7 +391,7 @@ def transfer_benefit_trial(seed: int, hp: HyperParams | None = None) -> dict:
     eval_x = target.features[target.labeled_count:]
 
     state = fit(source, target, hp)
-    ablation = fit(source, target, hp.with_overrides(c3=0.0))
+    ablation = fit(source, target, replace(hp, c3=0.0))
     source_w = baseline_source_only(source, hp)
     return {
         PROPOSED: accuracy(classify_target(state.model, eval_x), hidden),

@@ -9,7 +9,7 @@ corrections u = phi - theta'w and v = psi - theta'w are derived, never stored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,11 @@ from .errors import ValidationError
 from .neighborhood import NeighborhoodGraph, reconstruction_residuals
 
 _ORTH_TOL = 1e-8
+
+
+def orthonormal_gap(theta: np.ndarray) -> float:
+    """Largest entry of |theta theta' - I|: 0 for orthonormal rows."""
+    return float(np.max(np.abs(theta @ theta.T - np.eye(theta.shape[0]))))
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class TransferModel:
         for arr in (theta, w, phi, psi):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("model parameters must be finite")
-        gram_gap = np.max(np.abs(theta @ theta.T - np.eye(r)))
+        gram_gap = orthonormal_gap(theta)
         if gram_gap > _ORTH_TOL:
             raise ValidationError(
                 f"theta rows are not orthonormal (max deviation {gram_gap:.3e})"
@@ -112,17 +117,32 @@ class SourceWeights:
             raise ValidationError("pi must be non-empty")
         if self.delta < 1.0:
             raise ValidationError("delta must be at least 1 for feasibility")
-        if np.min(pi) < -1e-9 or np.max(pi) > self.delta + 1e-9:
-            raise ValidationError("pi violates its box bounds")
-        if abs(pi.sum() - pi.size) > 1e-6:
-            raise ValidationError("pi must sum to the number of source points")
         pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "delta", float(self.delta))
+        if self.bound_gap > 1e-9:
+            raise ValidationError("pi violates its box bounds")
+        if self.sum_gap > 1e-6:
+            raise ValidationError("pi must sum to the number of source points")
 
     @property
     def n(self) -> int:
         return self.pi.size
+
+    @property
+    def bound_gap(self) -> float:
+        """Largest violation of 0 <= pi <= delta."""
+        return float(
+            max(
+                np.max(np.maximum(-self.pi, 0.0)),
+                np.max(np.maximum(self.pi - self.delta, 0.0)),
+            )
+        )
+
+    @property
+    def sum_gap(self) -> float:
+        """Distance of sum(pi) from n."""
+        return float(abs(self.pi.sum() - self.n))
 
     @classmethod
     def uniform(cls, n: int, delta: float) -> "SourceWeights":
@@ -169,22 +189,8 @@ class HyperParams:
             raise ValidationError(f"r={r} exceeds the feature dimension m={m}")
         return r
 
-    def with_overrides(self, **kwargs) -> "HyperParams":
-        return replace(self, **kwargs)
-
     def to_json_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "r": self.r,
-            "delta": self.delta,
-            "k": self.k,
-            "rho": self.rho,
-            "outer_iters": self.outer_iters,
-            "subgrad_iters": self.subgrad_iters,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "HyperParams":
@@ -253,6 +259,16 @@ def classify_target(model: TransferModel, x: np.ndarray) -> np.ndarray | float:
 def hinge_losses(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-point max(0, 1 - y * score)."""
     return np.maximum(0.0, 1.0 - np.asarray(labels) * np.asarray(scores))
+
+
+def hinge_subgradient(features, labels, classifier, weights=1.0) -> np.ndarray:
+    """Subgradient of sum_i weights_i * max(0, 1 - y_i x_i'c) in the classifier c.
+
+    A hinge counts as active when its slack 1 - y x'c is >= 0, boundary
+    included.
+    """
+    slack = 1.0 - labels * (features @ classifier)
+    return -(features.T @ ((slack >= 0.0) * labels * weights))
 
 
 @dataclass(frozen=True)
@@ -329,6 +345,24 @@ class Problem:
         object.__setattr__(self, "labeled_target", target.labeled_features)
 
 
+def classifier_terms(problem: Problem, phi, psi, shared, pi) -> tuple:
+    """The four terms that depend on (phi, psi), in :class:`ObjectiveTerms` order.
+
+    Source hinge (weighted by ``pi``), target hinge, adaptation (the coupling
+    of phi and psi to ``shared`` = theta'w) and response smoothness.
+    """
+    source, target, hp = problem.source, problem.target, problem.hp
+    source_hinge = float(pi @ hinge_losses(source.features @ phi, source.labels))
+    target_hinge = float(
+        hinge_losses(problem.labeled_target @ psi, target.labels).sum()
+    )
+    du = phi - shared
+    dv = psi - shared
+    adaptation = 0.5 * hp.c1 * float(du @ du + dv @ dv)
+    response = problem.residuals @ psi
+    return source_hinge, target_hinge, adaptation, hp.c2 * float(response @ response)
+
+
 def objective(
     model: TransferModel, weights: SourceWeights, problem: Problem
 ) -> ObjectiveTerms:
@@ -344,22 +378,12 @@ def objective(
     if weights.n != source.n:
         raise ValidationError("weight vector length does not match the source")
 
-    src_losses = hinge_losses(classify_source(model, source.features), source.labels)
-    source_hinge = float(weights.pi @ src_losses)
-
-    tgt_scores = classify_target(model, problem.labeled_target)
-    target_hinge = float(hinge_losses(tgt_scores, target.labels).sum())
-
-    shared = model.theta.T @ model.w
-    du = model.phi - shared
-    dv = model.psi - shared
-    adaptation = 0.5 * hp.c1 * float(du @ du + dv @ dv)
+    source_hinge, target_hinge, adaptation, response_smoothness = classifier_terms(
+        problem, model.phi, model.psi, model.theta.T @ model.w, weights.pi
+    )
 
     pi_gap = problem.source_graph.residual(weights.pi)
     weight_smoothness = hp.c2 * float(pi_gap @ pi_gap)
-
-    response_gap = problem.residuals @ model.psi
-    response_smoothness = hp.c2 * float(response_gap @ response_gap)
 
     mean_matching = hp.c3 * matching_distance(model.theta, source, weights, target)
 

@@ -22,6 +22,7 @@ from .qp import BoxEqQP, solve_qp
 _GRAM_RIDGE = 1e-10
 _ROW_SUM_TOL = 1e-9
 _MULT_TOL = 1e-10  # wrong-sign multiplier that releases a zero weight
+_BLOCK_ROWS = 1024  # rows per distance block in build_knn
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ def _as_matrix(data) -> np.ndarray:
     return matrix
 
 
-def build_knn(dataset, k: int, block_rows: int = 1024) -> np.ndarray:
+def build_knn(dataset, k: int) -> np.ndarray:
     """Indices of the k nearest points (Euclidean) for every point.
 
     The point itself is excluded; distance ties break toward the smaller
@@ -108,8 +109,8 @@ def build_knn(dataset, k: int, block_rows: int = 1024) -> np.ndarray:
         raise ValidationError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     sq_norms = np.einsum("ij,ij->i", points, points)
     neighbors = np.empty((n, k), dtype=np.int64)
-    for lo in range(0, n, block_rows):
-        hi = min(lo + block_rows, n)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
         dists = sq_norms[lo:hi, None] + sq_norms[None, :] - 2.0 * points[lo:hi] @ points.T
         np.maximum(dists, 0.0, out=dists)
         dists[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf

@@ -1,12 +1,11 @@
 """Alternating minimization of the transfer objective.
 
-One outer iteration updates the blocks in a fixed order: subgradient descent
-on the effective classifiers (phi, psi), the closed-form shared classifier w,
-the spectral update of the projection rows (which re-solves w, since w is a
-function of the projection), and finally the instance-weight QP. Every block
-reads the fit's fixed data from one :class:`~wdmatch.model.Problem`. Every
-exact block update is a descent step, so the recorded objective trace never
-increases.
+One outer iteration updates three blocks in a fixed order: subgradient
+descent on the effective classifiers (phi, psi), the spectral update of the
+projection rows together with the closed-form shared classifier w it induces,
+and finally the instance-weight QP. Every block reads the fit's fixed data
+from one :class:`~wdmatch.model.Problem`. Every exact block update is a
+descent step, so the recorded objective trace never increases.
 """
 
 from __future__ import annotations
@@ -24,8 +23,11 @@ from .model import (
     Problem,
     SourceWeights,
     TransferModel,
+    classifier_terms,
     hinge_losses,
+    hinge_subgradient,
     objective,
+    orthonormal_gap,
 )
 from .neighborhood import NeighborhoodGraph, build_graph
 from .qp import BoxEqQP, solve_qp
@@ -40,8 +42,9 @@ class OptState:
     """Final parameters plus the per-iteration objective history.
 
     ``substeps`` records a (step name, objective before, objective after)
-    entry for every block update, together with the constraint residuals that
-    the update is responsible for.
+    entry for every block update, three per outer iteration (``phi_psi``,
+    ``theta`` with its w re-solve, ``pi``), together with the constraint
+    residuals that the update is responsible for.
     """
 
     model: TransferModel
@@ -174,40 +177,26 @@ def solve_theta(problem: Problem, phi, psi, weights: SourceWeights) -> np.ndarra
 
 
 def q_value(problem: Problem, phi, psi, shared, pi) -> float:
-    """The (phi, psi) block objective: both hinges, coupling, response term.
+    """The (phi, psi) block objective: the sum of :func:`classifier_terms`.
 
     ``shared`` is theta'w and ``pi`` the instance weights, both held fixed
     during the block.
     """
-    source, target, hp = problem.source, problem.target, problem.hp
-    src_hinge = float(pi @ hinge_losses(source.features @ phi, source.labels))
-    tgt_hinge = float(
-        hinge_losses(problem.labeled_target @ psi, target.labels).sum()
-    )
-    du = phi - shared
-    dv = psi - shared
-    coupling = 0.5 * hp.c1 * float(du @ du + dv @ dv)
-    response = problem.residuals @ psi
-    return src_hinge + tgt_hinge + coupling + hp.c2 * float(response @ response)
+    return sum(classifier_terms(problem, phi, psi, shared, pi))
 
 
 def subgradients(problem: Problem, phi, psi, shared, pi):
     """Subgradients of the (phi, psi) block objective.
 
-    A hinge counts as active when its margin slack is >= 0, boundary
-    included.
+    The hinges take :func:`~wdmatch.model.hinge_subgradient`, so a hinge at
+    slack 0 counts as active.
     """
     source, target, hp = problem.source, problem.target, problem.hp
     residuals = problem.residuals
-    slack_s = 1.0 - source.labels * (source.features @ phi)
-    active_s = slack_s >= 0.0
-    g_phi = -(source.features.T @ (active_s * source.labels * pi))
+    g_phi = hinge_subgradient(source.features, source.labels, phi, pi)
     g_phi += hp.c1 * (phi - shared)
 
-    labeled = problem.labeled_target
-    slack_t = 1.0 - target.labels * (labeled @ psi)
-    active_t = slack_t >= 0.0
-    g_psi = -(labeled.T @ (active_t * target.labels))
+    g_psi = hinge_subgradient(problem.labeled_target, target.labels, psi)
     g_psi += hp.c1 * (psi - shared)
     g_psi += 2.0 * hp.c2 * (residuals.T @ (residuals @ psi))
     return g_phi, g_psi
@@ -289,23 +278,6 @@ def initial_theta(source: DomainDataset, target: DomainDataset, r: int) -> np.nd
     return _sign_rows(evecs[:, ::-1][:, :r].T.copy())
 
 
-def _orthonormal_gap(theta: np.ndarray) -> float:
-    return float(np.max(np.abs(theta @ theta.T - np.eye(theta.shape[0]))))
-
-
-def _bound_gap(weights: SourceWeights) -> float:
-    return float(
-        max(
-            np.max(np.maximum(-weights.pi, 0.0)),
-            np.max(np.maximum(weights.pi - weights.delta, 0.0)),
-        )
-    )
-
-
-def _sum_gap(weights: SourceWeights) -> float:
-    return float(abs(weights.pi.sum() - weights.n))
-
-
 def fit(
     source: DomainDataset,
     target: DomainDataset,
@@ -315,9 +287,10 @@ def fit(
 
     The loop stops after ``hp.outer_iters`` iterations or once the relative
     objective change drops below ``hp.tol``. The procedure is deterministic.
-    A solver or validation failure inside the loop is raised as a
-    :class:`ConvergenceError` carrying the last complete state; any other
-    exception is a bug and propagates unchanged.
+    A solver or validation failure inside an iteration is raised as a
+    :class:`ConvergenceError` whose ``state`` is the snapshot taken at the
+    end of the last complete iteration; any other exception is a bug and
+    propagates unchanged.
     """
     hp = HyperParams() if hp is None else hp
     if not isinstance(source, DomainDataset) or not isinstance(target, DomainDataset):
@@ -352,9 +325,9 @@ def fit(
         return {
             "iteration": iteration,
             **terms_.as_dict(),
-            "orthonormal_gap": _orthonormal_gap(theta),
-            "pi_bound_gap": _bound_gap(weights),
-            "pi_sum_gap": _sum_gap(weights),
+            "orthonormal_gap": orthonormal_gap(theta),
+            "pi_bound_gap": weights.bound_gap,
+            "pi_sum_gap": weights.sum_gap,
         }
 
     def record(iteration, step, before, after, **extra):
@@ -364,19 +337,24 @@ def fit(
         )
         return after
 
+    def snapshot(iteration) -> OptState:
+        return OptState(
+            model=TransferModel(theta, w, phi, psi),
+            weights=weights,
+            objective_trace=tuple(trace),
+            iteration=iteration,
+            substeps=tuple(substeps),
+            term_trace=tuple(term_trace),
+        )
+
     terms = evaluate()
     trace = [terms.total]
     term_trace = [residual_entry(0, terms)]
-    completed = 0
-    try:
-        for iteration in range(1, hp.outer_iters + 1):
-            current = trace[-1]
-
+    state = snapshot(0)
+    for iteration in range(1, hp.outer_iters + 1):
+        try:
             phi, psi = update_phi_psi(problem, phi, psi, theta.T @ w, weights.pi)
-            current = record(iteration, "phi_psi", current, evaluate().total)
-
-            w = solve_w(theta, phi, psi)
-            current = record(iteration, "w", current, evaluate().total)
+            current = record(iteration, "phi_psi", trace[-1], evaluate().total)
 
             # The projection step owns its induced w re-solve: the spectral
             # problem is derived with w eliminated, so monotonicity is only
@@ -384,38 +362,20 @@ def fit(
             theta = solve_theta(problem, phi, psi, weights)
             w = solve_w(theta, phi, psi)
             current = record(iteration, "theta", current, evaluate().total,
-                             orthonormal_gap=_orthonormal_gap(theta))
+                             orthonormal_gap=orthonormal_gap(theta))
 
             weights = solve_pi(problem, theta, phi, weights)
             terms = evaluate()
-            after = record(iteration, "pi", current, terms.total,
-                           bound_gap=_bound_gap(weights),
-                           sum_gap=_sum_gap(weights))
-
-            trace.append(after)
-            term_trace.append(residual_entry(iteration, terms))
-            completed = iteration
-            previous = trace[-2]
-            if abs(previous - after) < hp.tol * max(1.0, abs(previous)):
-                break
-    except (ConvergenceError, ValidationError, np.linalg.LinAlgError) as exc:
-        partial = OptState(
-            model=TransferModel(theta, w, phi, psi),
-            weights=weights,
-            objective_trace=tuple(trace),
-            iteration=completed,
-            substeps=tuple(substeps),
-            term_trace=tuple(term_trace),
-        )
-        raise ConvergenceError(
-            f"fit aborted during iteration {completed + 1}: {exc}", state=partial
-        ) from exc
-
-    return OptState(
-        model=TransferModel(theta, w, phi, psi),
-        weights=weights,
-        objective_trace=tuple(trace),
-        iteration=completed,
-        substeps=tuple(substeps),
-        term_trace=tuple(term_trace),
-    )
+        except (ConvergenceError, ValidationError, np.linalg.LinAlgError) as exc:
+            raise ConvergenceError(
+                f"fit aborted during iteration {iteration}: {exc}", state=state
+            ) from exc
+        after = record(iteration, "pi", current, terms.total,
+                       bound_gap=weights.bound_gap, sum_gap=weights.sum_gap)
+        trace.append(after)
+        term_trace.append(residual_entry(iteration, terms))
+        state = snapshot(iteration)
+        previous = trace[-2]
+        if abs(previous - after) < hp.tol * max(1.0, abs(previous)):
+            break
+    return state

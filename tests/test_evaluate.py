@@ -65,6 +65,13 @@ class TestHingeBaselines:
         w = train_hinge_classifier(x, y)
         assert accuracy(x @ w, y) == 1.0
 
+    def test_hinge_at_zero_slack_is_active(self):
+        # The first unit step puts the point exactly on the margin (slack 0).
+        # Counted as active, its subgradient is -1 and the second step is taken;
+        # counted as inactive, descent would stop at w = 1.
+        w = train_hinge_classifier([[1.0]], [1.0], iters=2, rho=1.0)
+        np.testing.assert_array_equal(w, [2.0])
+
     def test_zero_shift_transfers(self):
         spec = SyntheticShiftSpec(dim=3, samples=300, separation=4.0, seed=6)
         source, target, hidden = synthetic_pair_with_hidden_labels(spec)

@@ -195,6 +195,18 @@ class TestSubgradients:
         g_phi, _ = subgradients(problem, np.zeros(2), np.zeros(2), shared, pi)
         np.testing.assert_allclose(g_phi, [-1.0, 0.0])
 
+    def test_hinge_at_zero_slack_is_active(self):
+        # Scores exactly on the margin (slack 0) count as active hinges.
+        target = DomainDataset([[0.0, 1.0], [0.0, 2.0]], [1.0])
+        hp = HyperParams(c1=0.0, c2=0.0)
+        problem, pi = one_point_problem(target, hp)
+        shared = np.eye(2)[:1].T @ np.zeros(1)
+        g_phi, g_psi = subgradients(
+            problem, np.array([1.0, 0.0]), np.array([0.0, 1.0]), shared, pi
+        )
+        np.testing.assert_array_equal(g_phi, [-1.0, 0.0])
+        np.testing.assert_array_equal(g_psi, [0.0, -1.0])
+
     def test_inactive_hinges_zero(self):
         # Scores far beyond the margin and c1 = c2 = 0: both subgradients vanish.
         target = DomainDataset([[0.0, 1.0], [0.0, 2.0]], [1.0])
@@ -536,7 +548,7 @@ class TestFit:
         assert state.iteration == outer_iters
         assert (len(graphs), len(residuals)) == (2, 1)
         steps = [event["step"] for event in state.substeps]
-        assert steps == ["phi_psi", "w", "theta", "pi"] * outer_iters
+        assert steps == ["phi_psi", "theta", "pi"] * outer_iters
 
     def test_tolerance_stops_early(self):
         _, source, target, *_ = small_problem(92)
@@ -590,3 +602,10 @@ class TestFit:
         assert partial is not None
         assert partial.iteration == 2
         assert len(partial.objective_trace) == 3
+        # The state is the last complete one: its model and weights give the
+        # last recorded objective exactly.
+        problem = Problem(
+            source, target, hp, build_graph(source, hp.k), build_graph(target, hp.k)
+        )
+        terms = objective(partial.model, partial.weights, problem)
+        assert terms.total == partial.objective_trace[-1]
