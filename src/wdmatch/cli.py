@@ -12,7 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from .data import generate_synthetic_pair, load_dataset, load_synthetic_spec, save_dataset
+from .data import (
+    SyntheticShiftSpec, generate_synthetic_pair, load_dataset, load_json, save_dataset,
+)
 from .errors import ConvergenceError, ValidationError
 from .evaluate import load_experiment_config, resolve_datasets, run_cv, write_report
 from .neighborhood import build_graph
@@ -31,19 +33,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="wdmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_fit = sub.add_parser("fit", help="train on the full datasets of a config")
+    # A config flag left out is absent from the parsed args (see _load_config).
+    p_fit = sub.add_parser("fit", help="train on the full datasets of a config",
+                           argument_default=argparse.SUPPRESS)
     p_fit.add_argument("--config", required=True, help="experiment config JSON")
-    p_fit.add_argument("--out", required=True, help="where to write the model JSON")
+    p_fit.add_argument("--out", required=True, dest="out_path",
+                       help="where to write the model JSON")
     p_fit.add_argument("--standardize", action="store_true",
                        help="standardize features jointly over both domains")
-    p_fit.add_argument("--trace", default=None, metavar="PATH",
+    p_fit.add_argument("--trace", default=None, metavar="PATH", dest="trace_path",
                        help="write per-iteration objective terms as JSON lines")
 
-    p_cv = sub.add_parser("cv", help="stratified cross-validation experiment")
+    p_cv = sub.add_parser("cv", help="stratified cross-validation experiment",
+                          argument_default=argparse.SUPPRESS)
     p_cv.add_argument("--config", required=True, help="experiment config JSON")
-    p_cv.add_argument("--out", default=None, help="report path (JSON; TSV beside it)")
-    p_cv.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_cv.add_argument("--parallel", type=int, default=None,
+    p_cv.add_argument("--out", default=None, dest="out_path",
+                      help="report path (JSON; TSV beside it)")
+    p_cv.add_argument("--seed", type=int, help="override config seed")
+    p_cv.add_argument("--parallel", type=int,
                       help="run folds in this many worker processes")
     p_cv.add_argument("--standardize", action="store_true",
                       help="standardize features jointly over both domains")
@@ -68,13 +75,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_fit(args) -> int:
+def _load_config(args):
+    """The experiment config with every config flag given applied to the field
+    of its own name."""
     config = load_experiment_config(args.config)
-    if args.standardize:
-        config = dataclasses.replace(config, standardize=True)
+    overrides = {f.name: getattr(args, f.name)
+                 for f in dataclasses.fields(config) if hasattr(args, f.name)}
+    return dataclasses.replace(config, **overrides)
+
+
+def _cmd_fit(args) -> int:
+    config = _load_config(args)
     source, target = resolve_datasets(config)
     state = fit(source, target, config.hp)
-    out = Path(args.out)
+    out = Path(args.out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "model": state.model.to_json_dict(),
@@ -83,28 +97,17 @@ def _cmd_fit(args) -> int:
         "iterations": state.iteration,
     }
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    if args.trace:
+    if args.trace_path:
         lines = [json.dumps(entry) for entry in state.term_trace]
-        Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.trace_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"fit: {state.iteration} iterations, "
           f"objective {state.objective_trace[-1]:.6g} -> {out}")
     return 0
 
 
 def _cmd_cv(args) -> int:
-    config = load_experiment_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.parallel is not None:
-        overrides["parallel"] = args.parallel
-    if args.standardize:
-        overrides["standardize"] = True
-    if args.trace:
-        overrides["trace"] = True
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    out = args.out or config.out
+    config = _load_config(args)
+    out = args.out_path or config.out
     if out is None:
         raise ValidationError("no output path: pass --out or set 'out' in the config")
     report = run_cv(config)
@@ -115,7 +118,7 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = load_synthetic_spec(args.spec)
+    spec = load_json(args.spec, SyntheticShiftSpec)
     source, target = generate_synthetic_pair(spec)
     prefix = Path(args.out_prefix)
     suffix = ".svm" if args.format == "sparse-svmlight" else ".csv"

@@ -1,4 +1,5 @@
-"""Dataset containers, file ingestion and synthetic cross-domain generation.
+"""Dataset containers, file ingestion, synthetic cross-domain generation and
+the JSON form of the config records.
 
 A domain is a feature matrix whose leading rows carry binary labels; the
 remaining rows are unlabeled. Files come in two text formats: dense CSV
@@ -9,12 +10,14 @@ remaining rows are unlabeled. Files come in two text formats: dense CSV
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 
 UNLABELED_TOKEN = "?"
 
@@ -211,9 +214,10 @@ def save_dataset(dataset: DomainDataset, path, format: str) -> None:
         )
         row = dataset.features[i]
         if format == DENSE_CSV:
-            lines.append(",".join([token] + [repr(float(v)) for v in row]))
+            lines.append(",".join([token] + list(map(repr, row.tolist()))))
         else:
-            cells = [f"{j + 1}:{float(v)!r}" for j, v in enumerate(row) if v != 0.0]
+            cols = np.flatnonzero(row)
+            cells = [f"{j + 1}:{v!r}" for j, v in zip(cols.tolist(), row[cols].tolist())]
             lines.append(" ".join([token] + cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -228,10 +232,10 @@ class SyntheticShiftSpec:
     """
 
     dim: int
-    samples: int
+    samples: int = field(metadata={"json": "n"})
     separation: float
     angle: float = 0.0
-    translation: object = 0.0
+    translation: float | tuple[float, ...] = 0.0
     noise: float = 0.0
     seed: int = 0
 
@@ -254,47 +258,103 @@ class SyntheticShiftSpec:
             shift = vec
         object.__setattr__(self, "translation", tuple(float(v) for v in shift))
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "SyntheticShiftSpec":
-        known = {"dim", "n", "separation", "angle", "translation", "noise", "seed"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValidationError(f"unknown synthetic spec keys: {sorted(unknown)}")
-        try:
-            return cls(
-                dim=int(payload["dim"]),
-                samples=int(payload["n"]),
-                separation=float(payload["separation"]),
-                angle=float(payload.get("angle", 0.0)),
-                translation=payload.get("translation", 0.0),
-                noise=float(payload.get("noise", 0.0)),
-                seed=int(payload.get("seed", 0)),
-            )
-        except KeyError as missing:
-            raise ValidationError(f"synthetic spec missing key {missing}") from None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n": self.samples,
-            "separation": self.separation,
-            "angle": self.angle,
-            "translation": [float(v) for v in self.translation],
-            "noise": self.noise,
-            "seed": self.seed,
-        }
+# The JSON values a field of each type takes, and how an error names them. bool
+# is a subclass of int, so number fields refuse true and false separately.
+_JSON_KINDS = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    dict: (dict, "a JSON object"),
+}
 
 
-def load_synthetic_spec(path) -> SyntheticShiftSpec:
+def _json_key(f: Field) -> str:
+    return f.metadata.get("json", f.name)
+
+
+def from_json(cls, payload, key: str = ""):
+    """Build the dataclass ``cls`` from a decoded JSON object.
+
+    The fields are the schema. A key is a field's name, or the name its
+    ``metadata={"json": ...}`` gives; a field without a default is required.
+    Each value must have its field's type: a float field takes any number and
+    stores it as a float, an int field takes an integer, a bool field true or
+    false, an ``X | None`` field also null, a ``tuple[X, ...]`` field a list
+    of X, and a dataclass field an object decoded by this function. Every
+    fault raises :class:`ConfigError` naming the key; ``key`` is the path of
+    ``payload`` itself when it is nested in another object.
+    """
+    where = key or cls.__name__
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {payload!r}")
+    by_key = {_json_key(f): f for f in fields(cls)}
+    unknown = set(payload) - set(by_key)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, f in by_key.items():
+        path = f"{key}.{name}" if key else name
+        if name in payload:
+            values[f.name] = _decode(hints[f.name], payload[name], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}: required key is missing")
+    return cls(**values)
+
+
+def _decode(hint, value, key: str):
+    if is_dataclass(hint):
+        return from_json(hint, value, key)
+    origin = typing.get_origin(hint)
+    # An annotation may spell a union as X | Y or as typing.Union / Optional.
+    if origin in (typing.Union, types.UnionType):
+        arms = typing.get_args(hint)
+        if value is None and type(None) in arms:
+            return None
+        *first, last = [arm for arm in arms if arm is not type(None)]
+        for arm in first:
+            try:
+                return _decode(arm, value, key)
+            except ConfigError:
+                pass
+        return _decode(last, value, key)
+    if origin is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{key}: expected a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_decode(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+    accepts, kind = _JSON_KINDS[hint]
+    if not isinstance(value, accepts) or isinstance(value, bool) != (hint is bool):
+        raise ConfigError(f"{key}: expected {kind}, got {value!r}")
+    return hint(value)
+
+
+def to_json(record) -> dict:
+    """The JSON object of the dataclass ``record``: the keys :func:`from_json`
+    reads, in field order, with nested records as objects and tuples as lists."""
+    return {_json_key(f): _encode(getattr(record, f.name)) for f in fields(record)}
+
+
+def _encode(value):
+    if is_dataclass(value):
+        return to_json(value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def load_json(path, cls):
+    """Read a JSON file into the dataclass ``cls`` through :func:`from_json`."""
     path = Path(path)
     if not path.is_file():
-        raise ValidationError(f"synthetic spec file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    return SyntheticShiftSpec.from_json_dict(payload)
+        raise ConfigError(f"file not found: {path}")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    return from_json(cls, payload)
 
 
 def _draw_domain(rng: np.random.Generator, spec: SyntheticShiftSpec):

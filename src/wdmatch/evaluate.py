@@ -20,8 +20,10 @@ from .data import (
     SyntheticShiftSpec,
     generate_synthetic_pair,
     load_dataset,
+    load_json,
     standardize_pair,
     synthetic_pair_with_hidden_labels,
+    to_json,
 )
 from .errors import ConfigError, ValidationError
 from .model import HyperParams, classify_target, hinge_losses, hinge_subgradient
@@ -105,10 +107,10 @@ class ExperimentConfig:
     source: dict | None = None
     target: dict | None = None
     synthetic: SyntheticShiftSpec | None = None
-    hp: HyperParams = field(default_factory=HyperParams)
+    hp: HyperParams = field(default_factory=HyperParams, metadata={"json": "hyperparams"})
     folds: int = 10
     seed: int = 0
-    baselines: tuple = BASELINES
+    baselines: tuple[str, ...] = BASELINES
     standardize: bool = False
     parallel: int = 1
     trace: bool = False
@@ -137,58 +139,9 @@ class ExperimentConfig:
                 normalized.append(name)
         object.__setattr__(self, "baselines", tuple(normalized))
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {
-            "source", "target", "synthetic", "hyperparams", "folds", "seed",
-            "baselines", "standardize", "parallel", "trace", "out",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        synthetic = payload.get("synthetic")
-        if synthetic is not None:
-            synthetic = SyntheticShiftSpec.from_json_dict(synthetic)
-        hp = HyperParams.from_json_dict(payload.get("hyperparams", {}))
-        return cls(
-            source=payload.get("source"),
-            target=payload.get("target"),
-            synthetic=synthetic,
-            hp=hp,
-            folds=int(payload.get("folds", 10)),
-            seed=int(payload.get("seed", 0)),
-            baselines=tuple(payload.get("baselines", BASELINES)),
-            standardize=bool(payload.get("standardize", False)),
-            parallel=int(payload.get("parallel", 1)),
-            trace=bool(payload.get("trace", False)),
-            out=payload.get("out"),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "synthetic": None if self.synthetic is None else self.synthetic.to_json_dict(),
-            "hyperparams": self.hp.to_json_dict(),
-            "folds": self.folds,
-            "seed": self.seed,
-            "baselines": list(self.baselines),
-            "standardize": self.standardize,
-            "parallel": self.parallel,
-            "trace": self.trace,
-            "out": self.out,
-        }
-
 
 def load_experiment_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return ExperimentConfig.from_json_dict(payload)
+    return load_json(path, ExperimentConfig)
 
 
 def _load_file_dataset(entry: dict) -> DomainDataset:
@@ -305,7 +258,7 @@ def run_cv(config: ExperimentConfig) -> dict:
         fold_results = [_fold_worker(p) for p in payloads]
 
     report = {
-        "config": config.to_json_dict(),
+        "config": to_json(config),
         "folds": config.folds,
         "fold_test_indices": [[int(i) for i in idx] for idx in folds],
         "methods": {},

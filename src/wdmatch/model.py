@@ -8,9 +8,7 @@ corrections u = phi - theta'w and v = psi - theta'w are derived, never stored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -95,13 +93,6 @@ class TransferModel:
         r, m = int(payload["r"]), int(payload["m"])
         theta = np.asarray(payload["theta"], dtype=np.float64).reshape(r, m)
         return cls(theta, payload["w"], payload["phi"], payload["psi"])
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "TransferModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)
@@ -188,16 +179,6 @@ class HyperParams:
         if r > m:
             raise ValidationError(f"r={r} exceeds the feature dimension m={m}")
         return r
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "HyperParams":
-        unknown = set(payload) - set(cls().to_json_dict())
-        if unknown:
-            raise ValidationError(f"unknown hyperparameter keys: {sorted(unknown)}")
-        return cls(**payload)
 
 
 def project(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -294,15 +275,7 @@ class ObjectiveTerms:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "source_hinge": self.source_hinge,
-            "target_hinge": self.target_hinge,
-            "adaptation": self.adaptation,
-            "weight_smoothness": self.weight_smoothness,
-            "response_smoothness": self.response_smoothness,
-            "mean_matching": self.mean_matching,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 @dataclass(frozen=True)

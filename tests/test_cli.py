@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import wdmatch.cli
 from wdmatch.cli import main
 from wdmatch.data import load_dataset
+from wdmatch.errors import ConvergenceError
+from wdmatch.model import TransferModel
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -26,6 +29,31 @@ def synthetic_payload(**overrides):
     }
     payload.update(overrides)
     return payload
+
+
+def run_cv_command(tmp_path, payload, *flags):
+    """Run ``cv`` on the payload and return its report without the timing keys."""
+    tmp_path.mkdir(exist_ok=True)
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "report.json"
+    assert main(["cv", "--config", str(config), "--out", str(out), *flags]) == 0
+    report = json.loads(out.read_text())
+    for entry in report["methods"].values():
+        entry.pop("timing")
+    return report
+
+
+# A name, the config's bad part and the key its error message must start with.
+MALFORMED = [
+    ("standardize-string", {"standardize": "false"}, "standardize"),
+    ("folds-float", {"folds": 2.9}, "folds"),
+    ("seed-string", {"seed": "3"}, "seed"),
+    ("k-string", {"hyperparams": {"k": "5"}}, "hyperparams.k"),
+    ("r-float", {"hyperparams": {"r": 2.5}}, "hyperparams.r"),
+    ("folds-word", {"folds": "five"}, "folds"),
+    ("baselines-nested", {"baselines": [[1]]}, "baselines[0]"),
+    ("synthetic-list", {"synthetic": [1, 2]}, "synthetic"),
+]
 
 
 class TestCvCommand:
@@ -67,6 +95,36 @@ class TestCvCommand:
         assert canonical(out_a) == canonical(out_b)
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
+    @pytest.mark.parametrize("flags, key, value", [
+        (["--seed", "0"], "seed", 0),
+        (["--parallel", "2"], "parallel", 2),
+        (["--standardize"], "standardize", True),
+        (["--trace"], "trace", True),
+    ], ids=["seed", "parallel", "standardize", "trace"])
+    def test_flag_sets_config_field(self, tmp_path, flags, key, value):
+        flagged = run_cv_command(tmp_path / "flag", synthetic_payload(), *flags)
+        keyed = run_cv_command(tmp_path / "key", synthetic_payload(**{key: value}))
+        assert flagged["config"][key] == value != synthetic_payload().get(key)
+        assert flagged == keyed
+
+    def test_output_path_from_flag_or_config(self, tmp_path, capsys):
+        config = write_config(tmp_path, synthetic_payload())
+        assert main(["cv", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: no output path")
+        out = tmp_path / "from-config.json"
+        config = write_config(tmp_path, synthetic_payload(out=str(out)))
+        assert main(["cv", "--config", str(config)]) == 0
+        assert json.loads(out.read_text())["config"]["out"] == str(out)
+
+    @pytest.mark.parametrize("bad, key", [m[1:] for m in MALFORMED],
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_config_exit_1(self, tmp_path, capsys, bad, key):
+        config = write_config(tmp_path, synthetic_payload(**bad))
+        code = main(["cv", "--config", str(config), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {key}:") and "Traceback" not in err
+
 
 class TestFitCommand:
     def test_fit_and_trace(self, tmp_path):
@@ -81,6 +139,29 @@ class TestFitCommand:
         assert {"model", "pi", "objective_trace", "iterations"} <= set(payload)
         values = [v["total"] for v in map(json.loads, trace.read_text().splitlines())]
         assert values == payload["objective_trace"]
+        model = TransferModel.from_json_dict(payload["model"])
+        assert model.to_json_dict() == payload["model"]
+
+    def test_standardize_flag_sets_config_field(self, tmp_path):
+        def fit_output(payload, *flags):
+            config = write_config(tmp_path, payload)
+            out = tmp_path / "model.json"
+            assert main(["fit", "--config", str(config), "--out", str(out), *flags]) == 0
+            return out.read_text()
+
+        flagged = fit_output(synthetic_payload(), "--standardize")
+        assert flagged == fit_output(synthetic_payload(standardize=True))
+        assert flagged != fit_output(synthetic_payload())
+
+    def test_convergence_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise ConvergenceError("budget exhausted")
+
+        monkeypatch.setattr(wdmatch.cli, "fit", exhausted)
+        config = write_config(tmp_path, synthetic_payload())
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: budget exhausted")
 
 
 class TestSynthCommand:
@@ -113,6 +194,18 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec), "--out-prefix", str(prefix)]) == 0
         assert (tmp_path / "run1_source.csv").is_file()
         assert (tmp_path / "run1_target.csv").is_file()
+
+    @pytest.mark.parametrize("spec, message", [
+        (None, "error: file not found"),
+        ({"dim": 2.5, "n": 12, "separation": 2.0}, "error: dim:"),
+        ({"dim": 2, "separation": 2.0}, "error: n:"),
+    ], ids=["missing", "float-dim", "no-n"])
+    def test_bad_spec_exit_1(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        if spec is not None:
+            path.write_text(json.dumps(spec))
+        assert main(["synth", "--spec", str(path), "--out-prefix", str(tmp_path) + "/"]) == 1
+        assert capsys.readouterr().err.startswith(message)
 
     def test_sparse_format_writes_svm_files(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -1,17 +1,25 @@
+import json
+import typing
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from wdmatch.data import (
     DomainDataset,
     SyntheticShiftSpec,
+    from_json,
     generate_synthetic_pair,
     load_dataset,
+    load_json,
     save_dataset,
     standardize_pair,
     synthetic_pair_with_hidden_labels,
+    to_json,
 )
-from wdmatch.errors import ParseError, ValidationError
-from wdmatch.evaluate import accuracy, train_hinge_classifier
+from wdmatch.errors import ConfigError, ParseError, ValidationError
+from wdmatch.evaluate import ExperimentConfig, accuracy, train_hinge_classifier
+from wdmatch.model import HyperParams
 
 
 class TestDomainDataset:
@@ -132,6 +140,25 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    @pytest.mark.parametrize("fmt", ["dense-csv", "sparse-svmlight"])
+    def test_text_matches_per_value_reference(self, tmp_path, fmt):
+        rng = np.random.default_rng(13)
+        feats = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
+        feats[rng.random((6, 5)) < 0.4] = 0.0
+        feats[0, 1] = -0.0
+        ds = DomainDataset(feats, [1.0, -1.0, 1.0])
+        lines = []
+        for i, row in enumerate(ds.features):
+            token = ("1" if ds.labels[i] > 0 else "-1") if i < ds.labeled_count else "?"
+            if fmt == "dense-csv":
+                lines.append(",".join([token] + [repr(float(v)) for v in row]))
+            else:
+                cells = [f"{j + 1}:{float(v)!r}" for j, v in enumerate(row) if v != 0.0]
+                lines.append(" ".join([token] + cells))
+        path = tmp_path / "out"
+        save_dataset(ds, path, fmt)
+        assert path.read_text() == "\n".join(lines) + "\n"
+
 
 class TestSyntheticPair:
     def test_spec_validation(self):
@@ -197,3 +224,96 @@ class TestStandardize:
         tgt = DomainDataset([[3.0, 5.0]], [])
         s, _ = standardize_pair(src, tgt)
         assert np.all(np.isfinite(s.features))
+
+
+@dataclass(frozen=True)
+class OptionalCount:
+    # typing.Optional is a typing.Union on every Python version.
+    count: typing.Optional[int] = None
+
+
+SPEC_KEYS = {"dim": 2, "n": 10, "separation": 1.0}
+
+
+class TestJsonRecords:
+    @pytest.mark.parametrize("record", [
+        HyperParams(),
+        HyperParams(c1=0.5, c2=2.0, c3=0.0, r=4, delta=1.5, k=7, rho=0.3,
+                    outer_iters=9, subgrad_iters=11, tol=1e-5),
+        SyntheticShiftSpec(dim=2, samples=10, separation=1.0),
+        SyntheticShiftSpec(dim=3, samples=12, separation=2.5, angle=0.4,
+                           translation=[0.5, -1.0, 2.0], noise=0.1, seed=7),
+        ExperimentConfig(synthetic=SyntheticShiftSpec(dim=2, samples=10, separation=1.0)),
+        ExperimentConfig(
+            source={"path": "s.svm", "format": "sparse-svmlight", "n_features": 4},
+            target={"path": "t.csv", "format": "dense-csv"},
+            hp=HyperParams(r=2, c3=3.0), folds=3, seed=4, baselines=("no-matching",),
+            standardize=True, parallel=2, trace=True, out="report.json",
+        ),
+    ], ids=["hp-default", "hp", "spec-default", "spec", "config-synthetic", "config-files"])
+    def test_round_trip_through_json_text(self, record):
+        text = json.dumps(to_json(record))
+        assert from_json(type(record), json.loads(text)) == record
+
+    def test_keys_in_field_order_with_json_names(self):
+        spec = SyntheticShiftSpec(dim=2, samples=10, separation=1.0, translation=0.5)
+        assert to_json(spec) == {"dim": 2, "n": 10, "separation": 1.0, "angle": 0.0,
+                                 "translation": [0.5, 0.0], "noise": 0.0, "seed": 0}
+        keys = list(to_json(ExperimentConfig(synthetic=spec)))
+        assert keys == ["source", "target", "synthetic", "hyperparams", "folds", "seed",
+                        "baselines", "standardize", "parallel", "trace", "out"]
+
+    def test_integer_for_float_field_stored_as_float(self):
+        hp = from_json(HyperParams, {"c1": 2, "tol": 0})
+        assert type(hp.c1) is float and type(hp.tol) is float
+        assert to_json(hp)["c1"] == 2.0
+
+    def test_null_only_where_the_field_allows_it(self):
+        assert from_json(HyperParams, {"r": None}).r is None
+        assert from_json(OptionalCount, {"count": None}).count is None
+        assert from_json(OptionalCount, {"count": 3}).count == 3
+        with pytest.raises(ConfigError, match="count"):
+            from_json(OptionalCount, {"count": 2.5})
+
+    @pytest.mark.parametrize("cls, payload, key", [
+        (HyperParams, [1], "HyperParams"),
+        (HyperParams, {"gamma": 1.0}, "gamma"),
+        (HyperParams, {"k": "5"}, "k"),
+        (HyperParams, {"k": 2.0}, "k"),
+        (HyperParams, {"k": True}, "k"),
+        (HyperParams, {"k": None}, "k"),
+        (HyperParams, {"r": 2.5}, "r"),
+        (HyperParams, {"c1": "1"}, "c1"),
+        (HyperParams, {"c1": False}, "c1"),
+        (SyntheticShiftSpec, {"dim": 2, "separation": 1.0}, "n"),
+        (SyntheticShiftSpec, {**SPEC_KEYS, "samples": 10}, "samples"),
+        (SyntheticShiftSpec, {**SPEC_KEYS, "translation": "left"}, "translation"),
+        (SyntheticShiftSpec, {**SPEC_KEYS, "translation": [1.0, "a"]}, "translation[1]"),
+        (ExperimentConfig, {"synthetic": SPEC_KEYS, "standardize": "false"}, "standardize"),
+        (ExperimentConfig, {"synthetic": SPEC_KEYS, "folds": 2.9}, "folds"),
+        (ExperimentConfig, {"synthetic": SPEC_KEYS, "baselines": "source-only"}, "baselines"),
+        (ExperimentConfig, {"synthetic": SPEC_KEYS, "baselines": [[1]]}, "baselines[0]"),
+        (ExperimentConfig, {"synthetic": SPEC_KEYS, "hyperparams": None}, "hyperparams"),
+        (ExperimentConfig, {"synthetic": SPEC_KEYS, "hyperparams": {"k": "5"}},
+         "hyperparams.k"),
+        (ExperimentConfig, {"synthetic": {**SPEC_KEYS, "dim": "2"}}, "synthetic.dim"),
+        (ExperimentConfig, {"synthetic": [1, 2]}, "synthetic"),
+        (ExperimentConfig, {"source": "s.csv", "target": "t.csv"}, "source"),
+        (ExperimentConfig, {"synthetic": SPEC_KEYS, "out": 3}, "out"),
+    ])
+    def test_malformed_value_names_its_key(self, cls, payload, key):
+        with pytest.raises(ConfigError) as info:
+            from_json(cls, payload)
+        message = str(info.value)
+        assert message.startswith(f"{key}:") or f"'{key}'" in message, message
+
+    def test_load_json(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(SPEC_KEYS))
+        assert load_json(path, SyntheticShiftSpec) == SyntheticShiftSpec(2, 10, 1.0)
+        with pytest.raises(ConfigError, match="not found"):
+            load_json(tmp_path / "absent.json", SyntheticShiftSpec)
+        for content in (b"{", b"\xff\xfe"):
+            path.write_bytes(content)
+            with pytest.raises(ConfigError, match="invalid JSON"):
+                load_json(path, SyntheticShiftSpec)

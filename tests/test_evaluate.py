@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from wdmatch.data import DomainDataset, SyntheticShiftSpec, synthetic_pair_with_hidden_labels
+from wdmatch.data import (
+    DomainDataset,
+    SyntheticShiftSpec,
+    from_json,
+    standardize_pair,
+    synthetic_pair_with_hidden_labels,
+    to_json,
+)
 from wdmatch.errors import ConfigError, ValidationError
 from wdmatch.evaluate import (
     ExperimentConfig,
@@ -12,6 +19,7 @@ from wdmatch.evaluate import (
     baseline_source_only,
     baseline_target_only,
     hold_out_fold,
+    resolve_datasets,
     run_cv,
     stratified_folds,
     train_hinge_classifier,
@@ -161,10 +169,15 @@ class TestExperimentConfig:
 
     def test_json_round_trip(self):
         config = synthetic_config()
-        back = ExperimentConfig.from_json_dict(
-            json.loads(json.dumps(config.to_json_dict()))
-        )
+        back = from_json(ExperimentConfig, json.loads(json.dumps(to_json(config))))
         assert back == config
+
+    def test_standardize_resolves_standardized_pair(self):
+        plain = resolve_datasets(synthetic_config())
+        for got, want in zip(resolve_datasets(synthetic_config(standardize=True)),
+                             standardize_pair(*plain)):
+            np.testing.assert_array_equal(got.features, want.features)
+            np.testing.assert_array_equal(got.labels, want.labels)
 
 
 class TestRunCV:
@@ -230,6 +243,16 @@ class TestRunCV:
         parallel = strip_timing(run_cv(ExperimentConfig(**{**config.__dict__, "parallel": 2})))
         serial["config"]["parallel"] = parallel["config"]["parallel"] = None
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+    def test_trace_adds_term_traces(self):
+        report = run_cv(synthetic_config(trace=True, baselines=("source-only",)))
+        for method, entry in report["methods"].items():
+            assert len(entry["term_traces"]) == 4
+            for terms, trace in zip(entry["term_traces"], entry["objective_traces"]):
+                if method == "source-only":
+                    assert terms is None and trace is None
+                else:
+                    assert [t["total"] for t in terms] == trace
 
 
 class TestWriteReport:

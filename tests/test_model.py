@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wdmatch.data import DomainDataset
+from wdmatch.data import DomainDataset, from_json, to_json
 from wdmatch.errors import ValidationError
 from wdmatch.model import (
     HyperParams,
@@ -111,7 +111,7 @@ class TestHyperParams:
 
     def test_json_round_trip(self):
         hp = HyperParams(c1=0.5, r=4, tol=1e-5)
-        assert HyperParams.from_json_dict(hp.to_json_dict()) == hp
+        assert from_json(HyperParams, to_json(hp)) == hp
 
 
 class TestProjection:
