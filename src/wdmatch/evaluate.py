@@ -101,11 +101,20 @@ def baseline_target_only(target: DomainDataset, hp: HyperParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class DatasetFile:
+    """A dataset file of an experiment, read by :func:`~wdmatch.data.load_dataset`."""
+
+    path: str
+    format: str
+    n_features: int | None = None
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved cross-validation experiment description."""
 
-    source: dict | None = None
-    target: dict | None = None
+    source: DatasetFile | None = None
+    target: DatasetFile | None = None
     synthetic: SyntheticShiftSpec | None = None
     hp: HyperParams = field(default_factory=HyperParams, metadata={"json": "hyperparams"})
     folds: int = 10
@@ -144,20 +153,14 @@ def load_experiment_config(path) -> ExperimentConfig:
     return load_json(path, ExperimentConfig)
 
 
-def _load_file_dataset(entry: dict) -> DomainDataset:
-    if "path" not in entry or "format" not in entry:
-        raise ConfigError("dataset entries need 'path' and 'format'")
-    return load_dataset(
-        entry["path"], entry["format"], n_features=entry.get("n_features")
-    )
-
-
 def resolve_datasets(config: ExperimentConfig):
     if config.synthetic is not None:
         source, target = generate_synthetic_pair(config.synthetic)
     else:
-        source = _load_file_dataset(config.source)
-        target = _load_file_dataset(config.target)
+        source, target = (
+            load_dataset(entry.path, entry.format, n_features=entry.n_features)
+            for entry in (config.source, config.target)
+        )
     if config.standardize:
         source, target = standardize_pair(source, target)
     return source, target

@@ -159,6 +159,9 @@ class HyperParams:
     tol: float = 1e-6
 
     def __post_init__(self):
+        for name in ("c1", "c2", "c3", "delta", "rho", "tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if min(self.c1, self.c2, self.c3) < 0.0:
             raise ValidationError("trade-off weights must be nonnegative")
         if self.r is not None and self.r < 1:
@@ -279,6 +282,31 @@ class ObjectiveTerms:
 
 
 @dataclass(frozen=True)
+class HingeDual:
+    """The dual of min_c sum_i u_i max(0, 1 - g_i'c) + 0.5 c'Hc - b'c.
+
+    The hinge rows G and the positive definite H are fixed; the weights u and
+    the linear term b vary. With H^-1 = L L' (``factor`` L, from ``eigh``) and
+    ``rows`` K = G L, the minimizer is c = L (L'b + K'a), where a minimizes
+    0.5 a'KK'a + (K L'b - 1)'a over 0 <= a <= u; the dual gradient at a is
+    minus the hinge slacks 1 - Gc. ``matvec`` applies KK' in O(nm) and never
+    forms it.
+    """
+
+    rows: np.ndarray
+    factor: np.ndarray
+
+    @classmethod
+    def build(cls, hinge_rows: np.ndarray, hess: np.ndarray) -> "HingeDual":
+        values, vectors = np.linalg.eigh(hess)
+        factor = vectors / np.sqrt(values)
+        return cls(hinge_rows @ factor, factor)
+
+    def matvec(self, a: np.ndarray) -> np.ndarray:
+        return self.rows @ (self.rows.T @ a)
+
+
+@dataclass(frozen=True)
 class Problem:
     """The data of one fit that stays fixed while its blocks alternate.
 
@@ -288,6 +316,12 @@ class Problem:
     mean and the labeled target rows. The instance-weight QP applies
     ``I - W`` straight from the source graph's (n, k) arrays, so nothing of
     size n x n is stored.
+
+    For c1 > 0 it also carries the :class:`HingeDual` of each effective
+    classifier: ``source_dual`` for phi (rows y_i x_i, H = c1 I) and
+    ``target_dual`` for psi (labeled target rows, H = c1 I + 2 c2 R'R with R
+    the residual matrix). At c1 = 0 neither H is positive definite and both
+    are None.
     """
 
     source: DomainDataset
@@ -298,6 +332,8 @@ class Problem:
     residuals: np.ndarray = field(init=False)
     target_mean: np.ndarray = field(init=False)
     labeled_target: np.ndarray = field(init=False)
+    source_dual: HingeDual | None = field(init=False)
+    target_dual: HingeDual | None = field(init=False)
 
     def __post_init__(self):
         source, target = self.source, self.target
@@ -316,6 +352,18 @@ class Problem:
         object.__setattr__(self, "residuals", residuals)
         object.__setattr__(self, "target_mean", target_mean)
         object.__setattr__(self, "labeled_target", target.labeled_features)
+        source_dual = target_dual = None
+        if self.hp.c1 > 0.0:
+            c1_eye = self.hp.c1 * np.eye(source.dim)
+            source_dual = HingeDual.build(
+                source.labels[:, None] * source.features, c1_eye
+            )
+            target_dual = HingeDual.build(
+                target.labels[:, None] * self.labeled_target,
+                c1_eye + 2.0 * self.hp.c2 * (residuals.T @ residuals),
+            )
+        object.__setattr__(self, "source_dual", source_dual)
+        object.__setattr__(self, "target_dual", target_dual)
 
 
 def classifier_terms(problem: Problem, phi, psi, shared, pi) -> tuple:

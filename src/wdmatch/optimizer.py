@@ -1,11 +1,13 @@
 """Alternating minimization of the transfer objective.
 
-One outer iteration updates three blocks in a fixed order: subgradient
-descent on the effective classifiers (phi, psi), the spectral update of the
-projection rows together with the closed-form shared classifier w it induces,
-and finally the instance-weight QP. Every block reads the fit's fixed data
-from one :class:`~wdmatch.model.Problem`. Every exact block update is a
-descent step, so the recorded objective trace never increases.
+One outer iteration updates three blocks in a fixed order: the effective
+classifiers (phi, psi), minimized exactly through their two box-constrained
+hinge duals (by subgradient descent at c1 = 0, where the block is not strongly
+convex), the spectral update of the projection rows together with the
+closed-form shared classifier w it induces, and finally the instance-weight QP.
+Every block reads the fit's fixed data from one
+:class:`~wdmatch.model.Problem`. Every block update is a descent step, so the
+recorded objective trace never increases.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .data import DomainDataset
 from .errors import ConvergenceError, ValidationError
 from .model import (
+    HingeDual,
     HyperParams,
     ObjectiveTerms,
     Problem,
@@ -30,7 +33,7 @@ from .model import (
     orthonormal_gap,
 )
 from .neighborhood import NeighborhoodGraph, build_graph
-from .qp import BoxEqQP, solve_qp
+from .qp import BoxEqQP, solve_box_qp, solve_qp
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +47,10 @@ class OptState:
     ``substeps`` records a (step name, objective before, objective after)
     entry for every block update, three per outer iteration (``phi_psi``,
     ``theta`` with its w re-solve, ``pi``), together with the constraint
-    residuals that the update is responsible for.
+    residuals that the update is responsible for. A ``phi_psi`` entry also
+    holds the Hessian products and KKT residuals of its two dual solves
+    (``dual_products``, ``dual_kkt``) and whether it ``kept`` the incoming
+    pair, as :class:`BlockStep` reports them.
     """
 
     model: TransferModel
@@ -202,22 +208,88 @@ def subgradients(problem: Problem, phi, psi, shared, pi):
     return g_phi, g_psi
 
 
-def update_phi_psi(problem: Problem, phi, psi, shared, pi):
-    """Run the subgradient block with :func:`halving_descent`.
+@dataclass(frozen=True)
+class BlockStep:
+    """The result of one (phi, psi) block update.
 
-    The step budget and initial step are ``hp.subgrad_iters`` and ``hp.rho``;
-    at a stationary point the pair is returned unchanged.
+    ``duals`` holds the dual solutions (alpha, beta) that warm-start the next
+    block, ``products`` and ``kkt`` the Hessian products and KKT residuals of
+    their two solves, and ``kept`` whether the block left the incoming pair in
+    place. Where the halving search ran instead (see :func:`update_phi_psi`)
+    there are no duals: ``duals`` is None, ``products`` is (0, 0) and ``kkt``
+    is (None, None).
     """
-    hp = problem.hp
+
+    phi: np.ndarray
+    psi: np.ndarray
+    duals: tuple | None
+    products: tuple
+    kkt: tuple
+    kept: bool
+
+
+def _solve_hinge_dual(dual: HingeDual, shift, upper, start):
+    """The primal minimizer of one :class:`~wdmatch.model.HingeDual` and its
+    dual solution, for linear term ``shift`` and hinge weights ``upper``."""
+    lifted = dual.factor.T @ shift
+    solution = solve_box_qp(dual, dual.rows @ lifted - 1.0, upper, start)
+    return dual.factor @ (lifted + dual.rows.T @ solution.x), solution
+
+
+def _exact_block(problem: Problem, phi, psi, shared, pi, duals) -> BlockStep:
+    """The block minimum from both hinge duals, or the incoming pair when that
+    is not lower; see :func:`update_phi_psi`."""
+    shift = problem.hp.c1 * np.asarray(shared, dtype=np.float64)
+    alpha, beta = (None, None) if duals is None else (np.minimum(duals[0], pi), duals[1])
+    new_phi, alpha = _solve_hinge_dual(problem.source_dual, shift, pi, alpha)
+    upper = np.ones(problem.target.labeled_count)
+    new_psi, beta = _solve_hinge_dual(problem.target_dual, shift, upper, beta)
+    kept = not (q_value(problem, new_phi, new_psi, shared, pi)
+                < q_value(problem, phi, psi, shared, pi))
+    if not kept:
+        phi, psi = new_phi, new_psi
+    return BlockStep(
+        phi, psi, (alpha.x, beta.x), (alpha.iterations, beta.iterations),
+        (alpha.kkt_residual, beta.kkt_residual), kept,
+    )
+
+
+def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockStep:
+    """Minimize the (phi, psi) block exactly through its two hinge duals.
+
+    For c1 > 0 the block splits into two strongly convex problems, one per
+    classifier, each with a box-constrained dual over its hinge rows, as for
+    a linear SVM (Hsieh et al., ICML 2008): phi = s + A'alpha / c1 with
+    A = diag(y) X and 0 <= alpha <= pi, and psi = H^-1 (c1 s + B'beta) with
+    B the labeled target rows signed by label, 0 <= beta <= 1 and
+    H = c1 I + 2 c2 R'R. Here s = ``shared``. Both duals are solved by
+    :func:`~wdmatch.qp.solve_box_qp`, warm-started from ``duals`` (alpha
+    clipped to ``pi``). The incoming pair is kept when the new one does not
+    have a lower :func:`q_value`, so rounding cannot raise the objective.
+
+    At c1 = 0 the block is not strongly convex, and it runs
+    :func:`halving_descent` on :func:`subgradients` with ``hp.subgrad_iters``
+    steps from ``hp.rho``. So it does when a dual solve cannot be certified:
+    with c1 below about 1e-10 of the squared feature scale, rounding in the
+    dual gradient exceeds the KKT limit.
+    """
     phi = np.array(phi, dtype=np.float64, copy=True)
     psi = np.array(psi, dtype=np.float64, copy=True)
-    return halving_descent(
+    if problem.source_dual is not None:
+        try:
+            return _exact_block(problem, phi, psi, shared, pi, duals)
+        except ConvergenceError as exc:
+            logger.debug("hinge duals not certified (%s); halving search instead", exc)
+    hp = problem.hp
+    new_phi, new_psi = halving_descent(
         lambda p: q_value(problem, *p, shared, pi),
         lambda p: subgradients(problem, *p, shared, pi),
         (phi, psi),
         hp.subgrad_iters,
         hp.rho,
     )
+    kept = np.array_equal(new_phi, phi) and np.array_equal(new_psi, psi)
+    return BlockStep(new_phi, new_psi, None, (0, 0), (None, None), kept)
 
 
 @dataclass(frozen=True)
@@ -317,6 +389,7 @@ def fit(
     w = solve_w(theta, phi, psi)
     weights = SourceWeights.uniform(source.n, hp.delta)
     substeps = []
+    duals = None
 
     def evaluate() -> ObjectiveTerms:
         return objective(TransferModel(theta, w, phi, psi), weights, problem)
@@ -353,8 +426,11 @@ def fit(
     state = snapshot(0)
     for iteration in range(1, hp.outer_iters + 1):
         try:
-            phi, psi = update_phi_psi(problem, phi, psi, theta.T @ w, weights.pi)
-            current = record(iteration, "phi_psi", trace[-1], evaluate().total)
+            block = update_phi_psi(problem, phi, psi, theta.T @ w, weights.pi, duals)
+            phi, psi, duals = block.phi, block.psi, block.duals
+            current = record(iteration, "phi_psi", trace[-1], evaluate().total,
+                             dual_products=block.products, dual_kkt=block.kkt,
+                             kept=block.kept)
 
             # The projection step owns its induced w re-solve: the spectral
             # problem is derived with w eliminated, so monotonicity is only

@@ -257,6 +257,41 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
     )
 
 
+@dataclass(frozen=True)
+class _WithSlack:
+    """A Hessian operator extended by one trailing coordinate without curvature."""
+
+    hess: object
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return np.append(self.hess.matvec(x[:-1]), 0.0)
+
+
+def solve_box_qp(hess, lin, upper, start=None) -> QPSolution:
+    """Minimize 0.5 x'Hx + f'x over 0 <= x <= upper by :func:`solve_qp`.
+
+    ``hess`` is an operator with ``matvec``. The box QP is solved as a box+sum
+    QP over x and one slack coordinate t without curvature: 0 <= t <= sum(upper)
+    and sum(x) + t = sum(upper), which every point of the box meets with
+    exactly one t. ``start``, when given, must lie in the box. The returned
+    solution drops t; its certificate is that of the extended QP.
+    """
+    upper = np.asarray(upper, dtype=np.float64).reshape(-1)
+    total = float(upper.sum())
+    if start is not None:
+        start = np.append(start, total - np.sum(start))
+    problem = BoxEqQP(
+        hess=_WithSlack(hess),
+        lin=np.append(lin, 0.0),
+        lower=np.zeros(upper.size + 1),
+        upper=np.append(upper, total),
+        eq_target=total,
+    )
+    solution = solve_qp(problem, start=start)
+    return QPSolution(solution.x[:-1], solution.objective, solution.iterations,
+                      solution.kkt_residual)
+
+
 def _wrong_sign(dual, at_lo, at_up, movable, scale):
     """Bound coordinates whose multiplier has the wrong sign beyond 1e-10 x scale."""
     tol = _MULT_TOL * scale

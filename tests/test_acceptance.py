@@ -86,7 +86,7 @@ def test_criterion_2_substep_exactness(descent_runs):
     worst_sum = 0.0
     for state, hp, n1 in runs:
         for event in state.substeps:
-            if event["step"] in ("theta", "pi"):
+            if event["step"] in ("phi_psi", "theta", "pi"):
                 worst_step = max(worst_step, event["after"] - event["before"])
             if event["step"] == "theta":
                 worst_orth = max(worst_orth, event["orthonormal_gap"])
@@ -100,7 +100,7 @@ def test_criterion_2_substep_exactness(descent_runs):
         and worst_sum <= 1e-6
     )
     assert report(
-        2, "theta/pi sub-step exactness",
+        2, "phi_psi/theta/pi sub-step exactness",
         ok,
         f"max increase {worst_step:.2e}, orth {worst_orth:.2e}, "
         f"bounds {worst_bound:.2e}, sum {worst_sum:.2e}",

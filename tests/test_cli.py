@@ -43,6 +43,8 @@ def run_cv_command(tmp_path, payload, *flags):
     return report
 
 
+SVM = {"path": "data.svm", "format": "sparse-svmlight"}
+FILE_ENTRIES = {"synthetic": None, "source": SVM, "target": SVM}
 # A name, the config's bad part and the key its error message must start with.
 MALFORMED = [
     ("standardize-string", {"standardize": "false"}, "standardize"),
@@ -53,6 +55,9 @@ MALFORMED = [
     ("folds-word", {"folds": "five"}, "folds"),
     ("baselines-nested", {"baselines": [[1]]}, "baselines[0]"),
     ("synthetic-list", {"synthetic": [1, 2]}, "synthetic"),
+    ("n_features-string", {**FILE_ENTRIES, "source": {**SVM, "n_features": "3"}},
+     "source.n_features"),
+    ("path-number", {**FILE_ENTRIES, "target": {**SVM, "path": 3}}, "target.path"),
 ]
 
 
@@ -152,6 +157,15 @@ class TestFitCommand:
         flagged = fit_output(synthetic_payload(), "--standardize")
         assert flagged == fit_output(synthetic_payload(standardize=True))
         assert flagged != fit_output(synthetic_payload())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_hyperparameter_exit_1(self, tmp_path, capsys, value):
+        payload = synthetic_payload(hyperparams={"c1": value})
+        config = write_config(tmp_path, payload)  # json writes NaN and Infinity
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: c1 must be finite") and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_convergence_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

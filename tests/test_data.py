@@ -18,7 +18,7 @@ from wdmatch.data import (
     to_json,
 )
 from wdmatch.errors import ConfigError, ParseError, ValidationError
-from wdmatch.evaluate import ExperimentConfig, accuracy, train_hinge_classifier
+from wdmatch.evaluate import DatasetFile, ExperimentConfig, accuracy, train_hinge_classifier
 from wdmatch.model import HyperParams
 
 
@@ -245,8 +245,8 @@ class TestJsonRecords:
                            translation=[0.5, -1.0, 2.0], noise=0.1, seed=7),
         ExperimentConfig(synthetic=SyntheticShiftSpec(dim=2, samples=10, separation=1.0)),
         ExperimentConfig(
-            source={"path": "s.svm", "format": "sparse-svmlight", "n_features": 4},
-            target={"path": "t.csv", "format": "dense-csv"},
+            source=DatasetFile("s.svm", "sparse-svmlight", n_features=4),
+            target=DatasetFile("t.csv", "dense-csv"),
             hp=HyperParams(r=2, c3=3.0), folds=3, seed=4, baselines=("no-matching",),
             standardize=True, parallel=2, trace=True, out="report.json",
         ),

@@ -108,6 +108,10 @@ class TestHyperParams:
             HyperParams(delta=0.9)
         with pytest.raises(ValidationError):
             HyperParams(rho=0.0)
+        for name in ("c1", "c2", "c3", "delta", "rho", "tol"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValidationError, match=name):
+                    HyperParams(**{name: value})
 
     def test_json_round_trip(self):
         hp = HyperParams(c1=0.5, r=4, tol=1e-5)

@@ -22,6 +22,7 @@ from wdmatch.neighborhood import NeighborhoodGraph, build_graph
 from wdmatch.optimizer import (
     InstanceWeightHessian,
     fit,
+    halving_descent,
     initial_theta,
     min_trace_rows,
     q_value,
@@ -263,9 +264,9 @@ class TestUpdatePhiPsi:
         problem, pi = one_point_problem(target, hp)
         phi0, psi0 = np.array([5.0, 0.0]), np.array([0.0, 5.0])
         shared = np.eye(2)[:1].T @ np.zeros(1)
-        phi, psi = update_phi_psi(problem, phi0, psi0, shared, pi)
-        np.testing.assert_array_equal(phi, phi0)
-        np.testing.assert_array_equal(psi, psi0)
+        step = update_phi_psi(problem, phi0, psi0, shared, pi)
+        np.testing.assert_array_equal(step.phi, phi0)
+        np.testing.assert_array_equal(step.psi, psi0)
 
     def test_strict_decrease_on_convex_instance(self):
         target = DomainDataset([[0.0, 1.0], [0.0, -1.0]], [1.0])
@@ -273,8 +274,8 @@ class TestUpdatePhiPsi:
         problem, pi = one_point_problem(target, hp)
         shared = np.eye(2)[:1].T @ np.zeros(1)
         before = q_value(problem, np.zeros(2), np.zeros(2), shared, pi)
-        phi, psi = update_phi_psi(problem, np.zeros(2), np.zeros(2), shared, pi)
-        after = q_value(problem, phi, psi, shared, pi)
+        step = update_phi_psi(problem, np.zeros(2), np.zeros(2), shared, pi)
+        after = q_value(problem, step.phi, step.psi, shared, pi)
         assert after < before
 
     def test_never_increases(self):
@@ -287,9 +288,91 @@ class TestUpdatePhiPsi:
             phi0, psi0 = rng.standard_normal(4), rng.standard_normal(4)
             problem = Problem(source, target, hp, *graphs)
             fixed = (theta.T @ w, weights.pi)
-            phi, psi = update_phi_psi(problem, phi0, psi0, *fixed)
-            assert (q_value(problem, phi, psi, *fixed)
+            step = update_phi_psi(problem, phi0, psi0, *fixed)
+            assert (q_value(problem, step.phi, step.psi, *fixed)
                     <= q_value(problem, phi0, psi0, *fixed) + 1e-12)
+
+
+def block_instance(seed, c1, c2):
+    """A (phi, psi) block with pi entries at 0 and at delta = 3, plus a start."""
+    rng, source, target, graphs = small_problem(seed, n1=12, n2=14, k=3)
+    problem = Problem(source, target, HyperParams(c1=c1, c2=c2, delta=3.0), *graphs)
+    pi = rng.permutation(np.r_[0.0, 0.0, 3.0, 3.0, np.full(8, 0.75)])
+    shared = random_orthonormal_rows(rng, 2, 4).T @ rng.standard_normal(2)
+    return problem, pi, shared, rng.standard_normal(4), rng.standard_normal(4)
+
+
+class TestExactBlock:
+    @pytest.mark.parametrize("seed, c1, c2", [
+        (0, 1.0, 1.0), (1, 0.2, 3.0), (2, 3.0, 0.0), (3, 0.7, 0.4),
+    ])
+    def test_not_above_long_halving_descent(self, seed, c1, c2):
+        problem, pi, shared, phi0, psi0 = block_instance(300 + seed, c1, c2)
+        step = update_phi_psi(problem, phi0, psi0, shared, pi)
+        exact = q_value(problem, step.phi, step.psi, shared, pi)
+        reference = q_value(problem, *halving_descent(
+            lambda p: q_value(problem, *p, shared, pi),
+            lambda p: subgradients(problem, *p, shared, pi),
+            (phi0, psi0), 2000, 0.1,
+        ), shared, pi)
+        assert exact <= reference + 1e-10 * max(1.0, abs(reference))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_primal_from_dual(self, seed):
+        c1, c2 = 0.5 + seed / 4.0, 0.3 * seed
+        problem, pi, shared, phi0, psi0 = block_instance(320 + seed, c1, c2)
+        step = update_phi_psi(problem, phi0, psi0, shared, pi)
+        assert not step.kept
+        source, target = problem.source, problem.target
+        residuals = problem.residuals
+        hess = c1 * np.eye(4) + 2.0 * c2 * residuals.T @ residuals
+        alpha, beta = step.duals
+        blocks = (
+            (source.features, source.labels, step.phi, c1 * (step.phi - shared), alpha, pi),
+            (problem.labeled_target, target.labels, step.psi,
+             hess @ step.psi - c1 * shared, beta, np.ones(target.labeled_count)),
+        )
+        for features, labels, classifier, pull, dual, upper in blocks:
+            rows = labels[:, None] * features
+            np.testing.assert_allclose(pull, rows.T @ dual, rtol=0.0, atol=1e-9)
+            slack = 1.0 - rows @ classifier
+            assert np.all((dual >= 0.0) & (dual <= upper))
+            np.testing.assert_array_equal(dual[slack > 1e-7], upper[slack > 1e-7])
+            np.testing.assert_array_equal(dual[slack < -1e-7], 0.0)
+
+    def test_keeps_incumbent_that_is_not_beaten(self):
+        problem, pi, shared, phi0, psi0 = block_instance(340, 1.0, 1.0)
+        first = update_phi_psi(problem, phi0, psi0, shared, pi)
+        # The same cold dual solves reproduce the incumbent bit for bit, so the
+        # new pair is not lower and the incumbent stays.
+        again = update_phi_psi(problem, first.phi, first.psi, shared, pi)
+        assert again.kept and not first.kept
+        np.testing.assert_array_equal(again.phi, first.phi)
+        np.testing.assert_array_equal(again.psi, first.psi)
+
+    def test_uncertified_duals_fall_back_to_halving_search(self):
+        # c1 about 1e-14 of the squared source feature scale: rounding in the
+        # phi dual's gradient stays above the KKT limit.
+        _, source, target, _ = small_problem(360, n1=40, n2=20, k=3)
+        big = DomainDataset(source.features * 1e4, source.labels)
+        problem = Problem(
+            big, target, HyperParams(c1=1e-4), build_graph(big, 3), build_graph(target, 3)
+        )
+        fixed = (np.zeros(4), np.ones(40))
+        step = update_phi_psi(problem, np.zeros(4), np.zeros(4), *fixed)
+        assert (step.duals, step.products, step.kkt) == (None, (0, 0), (None, None))
+        assert (q_value(problem, step.phi, step.psi, *fixed)
+                < q_value(problem, np.zeros(4), np.zeros(4), *fixed))
+
+    def test_warm_start_clips_alpha_to_pi(self):
+        problem, pi, shared, phi0, psi0 = block_instance(350, 1.0, 1.0)
+        stale = (np.full(pi.size, 3.0), np.ones(problem.target.labeled_count))
+        warm = update_phi_psi(problem, phi0, psi0, shared, pi, stale)
+        cold = update_phi_psi(problem, phi0, psi0, shared, pi)
+        assert np.all(warm.duals[0] <= pi)
+        assert (q_value(problem, warm.phi, warm.psi, shared, pi)
+                == pytest.approx(q_value(problem, cold.phi, cold.psi, shared, pi),
+                                 rel=1e-10))
 
 
 class TestSolvePi:
@@ -549,6 +632,21 @@ class TestFit:
         assert (len(graphs), len(residuals)) == (2, 1)
         steps = [event["step"] for event in state.substeps]
         assert steps == ["phi_psi", "theta", "pi"] * outer_iters
+
+    @pytest.mark.parametrize("c1", [1.0, 0.0])
+    def test_phi_psi_records_dual_solves(self, c1):
+        _, source, target, *_ = small_problem(97)
+        hp = HyperParams(c1=c1, outer_iters=3, subgrad_iters=10, k=2, r=2, tol=0.0)
+        records = [e for e in fit(source, target, hp).substeps if e["step"] == "phi_psi"]
+        assert len(records) == 3
+        for event in records:
+            assert isinstance(event["kept"], bool)
+            if c1 == 0.0:
+                assert event["dual_products"] == (0, 0)
+                assert event["dual_kkt"] == (None, None)
+            else:
+                assert min(event["dual_products"]) > 0
+                assert max(event["dual_kkt"]) <= 1e-9
 
     def test_tolerance_stops_early(self):
         _, source, target, *_ = small_problem(92)

@@ -6,7 +6,10 @@ import pytest
 from wdmatch.errors import InfeasibleProblemError, ValidationError
 from wdmatch.neighborhood import NeighborhoodGraph
 from wdmatch.optimizer import InstanceWeightHessian
-from wdmatch.qp import BoxEqQP, project_feasible, projected_gradient_oracle, solve_qp
+from wdmatch.model import HingeDual
+from wdmatch.qp import (
+    BoxEqQP, project_feasible, projected_gradient_oracle, solve_box_qp, solve_qp,
+)
 
 
 def random_problem(seed, n=6, ridge=0.3):
@@ -398,6 +401,32 @@ class ScaledOperator:
 
     def matvec(self, x):
         return self.factor * self.operator.matvec(x)
+
+
+class TestBoxQP:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_box_kkt_on_low_rank_instances(self, seed):
+        # Hessians K K' of rank m < n, as the hinge duals have, with some
+        # coordinates pinned by a zero upper bound.
+        rng = np.random.default_rng(600 + seed)
+        n, m = int(rng.integers(2, 80)), int(rng.integers(1, 6))
+        hess = HingeDual(rng.standard_normal((n, m)), np.eye(m))
+        lin = rng.standard_normal(n)
+        upper = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 3.0, n))
+        start = rng.random(n) * upper
+        for begin in (None, start):
+            sol = solve_box_qp(hess, lin, upper, begin)
+            x = sol.x
+            assert x.shape == (n,) and np.all(x >= 0.0) and np.all(x <= upper)
+            grad = hess.matvec(x) + lin
+            tol = 1e-9 * max(1.0, float(np.max(np.abs(grad))))
+            free = (x > 0.0) & (x < upper)
+            assert np.all(np.abs(grad[free]) <= tol)
+            assert np.all(grad[(x == 0.0) & (upper > 0.0)] >= -tol)
+            assert np.all(grad[(x == upper) & (upper > 0.0)] <= tol)
+            assert sol.objective == pytest.approx(
+                0.5 * x @ hess.matvec(x) + lin @ x, rel=1e-12, abs=1e-12)
+        assert sol.objective <= 0.5 * start @ hess.matvec(start) + lin @ start
 
 
 class TestRelativeKKTLimit:
