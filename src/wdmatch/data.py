@@ -115,40 +115,69 @@ def _load_dense(lines) -> tuple[list, list]:
     return rows, labels
 
 
-def _load_sparse(lines, n_features) -> tuple[np.ndarray, list]:
-    entries, labels = [], []
-    max_index = 0
-    for lineno, line in lines:
-        tokens = line.split()
-        label = _parse_label(tokens[0], lineno)
-        row = {}
-        for token in tokens[1:]:
-            idx_str, sep, val_str = token.partition(":")
+def _raise_sparse_error(lineno: int, line: str, n_features):
+    """Walk one svmlight line token by token and raise its first fault."""
+    label, *tokens = line.split()
+    _parse_label(label, lineno)
+    for token in tokens:
+        idx_str, sep, val_str = token.partition(":")
+        try:
             if not sep:
-                raise ParseError(f"line {lineno}: malformed entry {token!r}")
-            try:
-                idx = int(idx_str)
-                value = float(val_str)
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed entry {token!r}") from None
-            if idx < 1:
-                raise ValidationError(
-                    f"line {lineno}: feature index {idx} is not 1-based"
-                )
-            if n_features is not None and idx > n_features:
-                raise ValidationError(
-                    f"line {lineno}: feature index {idx} exceeds declared "
-                    f"dimension {n_features}"
-                )
-            row[idx - 1] = value
-        if row:
-            max_index = max(max_index, max(row) + 1)
-        entries.append(row)
-        labels.append(label)
-    dim = n_features if n_features is not None else max_index
-    rows = np.zeros((len(entries), dim))
-    for i, row in enumerate(entries):
-        rows[i, list(row)] = list(row.values())
+                raise ValueError
+            idx = int(idx_str)
+            float(val_str)
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed entry {token!r}") from None
+        if idx < 1:
+            raise ValidationError(f"line {lineno}: feature index {idx} is not 1-based")
+        if n_features is not None and idx > n_features:
+            raise ValidationError(
+                f"line {lineno}: feature index {idx} exceeds declared "
+                f"dimension {n_features}"
+            )
+    raise ValidationError(f"line {lineno}: feature index too large")
+
+
+def _load_sparse(lines, n_features) -> tuple[np.ndarray, list]:
+    """Parse svmlight lines a line at a time rather than a token at a time.
+
+    A line's entries are split into index and value fields at once, and
+    numpy converts each kind in one call, reading every field as ``int`` and
+    ``float`` read it. The split stands only when joining each (index, value)
+    pair with ``:`` gives back the line's tokens, that is when every token
+    has one ``:`` between two non-empty fields. A line that fails a check is
+    walked token by token by :func:`_raise_sparse_error`, which raises its
+    first fault. A repeated index keeps its last value.
+    """
+    labels, counts = [], []
+    # Each list starts with an empty array, so a file of no lines concatenates.
+    cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for lineno, line in lines:
+        try:
+            label, *body = line.split(None, 1)
+            labels.append(_parse_label(label, lineno))
+            text = body[0] if body else ""
+            fields = text.replace(":", " ").split()
+            entries = " ".join(map(":".join, zip(fields[0::2], fields[1::2])))
+            if entries != text and entries.split(" ") != text.split():
+                raise ValueError("an entry is not idx:val")
+            idx = np.array(fields[0::2], dtype=np.int64)
+            if idx.size and (
+                idx.min() < 1 or (n_features is not None and idx.max() > n_features)
+            ):
+                raise ValueError("feature index out of range")
+            vals.append(np.array(fields[1::2], dtype=np.float64))
+        except (ValueError, OverflowError):  # ParseError and ValidationError too
+            _raise_sparse_error(lineno, line, n_features)
+        cols.append(idx - 1)
+        counts.append(idx.size)
+    cols, vals = np.concatenate(cols), np.concatenate(vals)
+    dim = n_features if n_features is not None else int(cols.max(initial=-1)) + 1
+    flat = np.repeat(np.arange(len(labels)) * dim, counts) + cols
+    _, last = np.unique(flat[::-1], return_index=True)
+    keep = flat.size - 1 - last
+    rows = np.zeros((len(labels), dim))
+    rows.ravel()[flat[keep]] = vals[keep]
     return rows, labels
 
 

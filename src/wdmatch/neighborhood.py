@@ -4,9 +4,13 @@ Every point is expressed as a convex combination of its k nearest neighbors;
 the combination weights minimize the squared reconstruction error over the
 probability simplex (LLE weights with a sign constraint; Roweis & Saul,
 Science 290, 2000). Those weights later regularize both the source instance
-weights and the target classification responses. :func:`build_graph` solves
-the n small simplex QPs of a point set together, in one vectorised active
-set; :func:`solve_reconstruction` solves one through the general QP solver.
+weights and the target classification responses. :func:`build_knn` finds the
+neighbors exactly, a block of rows at a time within a fixed byte budget: a
+partition selects each row's k nearest, ordered by (distance, index), and only
+rows with a tie at the k-th distance are sorted in full, so ties always go to
+the smaller index. :func:`build_graph` solves the n small simplex QPs of a
+point set together, in one vectorised active set; :func:`solve_reconstruction`
+solves one through the general QP solver.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .qp import BoxEqQP, solve_qp
 _GRAM_RIDGE = 1e-10
 _ROW_SUM_TOL = 1e-9
 _MULT_TOL = 1e-10  # wrong-sign multiplier that releases a zero weight
-_BLOCK_ROWS = 1024  # rows per distance block in build_knn
+_BLOCK_BYTES = 1 << 23  # bytes of squared distances per block in build_knn
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,15 @@ def build_knn(dataset, k: int) -> np.ndarray:
     """Indices of the k nearest points (Euclidean) for every point.
 
     The point itself is excluded; distance ties break toward the smaller
-    index. Search is exact; rows are processed in blocks to bound memory.
+    index, so row i is the first k entries of a stable argsort of its
+    squared distances. Search is exact. Rows are processed in blocks of at
+    most :data:`_BLOCK_BYTES` of distances each (one row when a row is
+    larger), so memory stays O(budget + n k) at any n. In each block
+    ``np.argpartition`` selects k candidates per row, which are then ordered
+    by (distance, index). That selection is the stable argsort's only where
+    exactly k entries lie at or below the row's k-th distance; the other
+    rows, where a tie at the k-th distance leaves the choice open, are
+    stably sorted in full.
     """
     points = _as_matrix(dataset)
     n = points.shape[0]
@@ -109,13 +121,23 @@ def build_knn(dataset, k: int) -> np.ndarray:
         raise ValidationError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     sq_norms = np.einsum("ij,ij->i", points, points)
     neighbors = np.empty((n, k), dtype=np.int64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        dists = sq_norms[lo:hi, None] + sq_norms[None, :] - 2.0 * points[lo:hi] @ points.T
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        rows = np.arange(hi - lo)
+        dists = sq_norms[lo:hi, None] + sq_norms[None, :]
+        dists -= 2.0 * points[lo:hi] @ points.T
         np.maximum(dists, 0.0, out=dists)
-        dists[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf
-        order = np.argsort(dists, axis=1, kind="stable")
-        neighbors[lo:hi] = order[:, :k]
+        dists[rows, rows + lo] = np.inf
+        picked = np.argpartition(dists, k - 1, axis=1)[:, :k]
+        picked_dists = np.take_along_axis(dists, picked, axis=1)
+        order = np.lexsort((picked, picked_dists), axis=1)
+        picked = np.take_along_axis(picked, order, axis=1)
+        kth = picked_dists.max(axis=1, keepdims=True)
+        tied = np.flatnonzero(np.count_nonzero(dists <= kth, axis=1) != k)
+        if tied.size:
+            picked[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
+        neighbors[lo:hi] = picked
     return neighbors
 
 

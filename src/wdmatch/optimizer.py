@@ -50,7 +50,8 @@ class OptState:
     residuals that the update is responsible for. A ``phi_psi`` entry also
     holds the Hessian products and KKT residuals of its two dual solves
     (``dual_products``, ``dual_kkt``) and whether it ``kept`` the incoming
-    pair, as :class:`BlockStep` reports them.
+    pair, as :class:`BlockStep` reports them. A ``pi`` entry records whether
+    it ``kept`` the incoming weights because the QP's answer scored higher.
     """
 
     model: TransferModel
@@ -437,17 +438,25 @@ def fit(
             # guaranteed for the (theta, w) pair.
             theta = solve_theta(problem, phi, psi, weights)
             w = solve_w(theta, phi, psi)
-            current = record(iteration, "theta", current, evaluate().total,
+            terms = evaluate()
+            current = record(iteration, "theta", current, terms.total,
                              orthonormal_gap=orthonormal_gap(theta))
 
-            weights = solve_pi(problem, theta, phi, weights)
-            terms = evaluate()
+            # The QP's warm-start guard is relative to the QP objective, which
+            # is looser than the trace's bound, so as in the (phi, psi) block
+            # the incoming weights stay when the new ones score higher.
+            candidate = solve_pi(problem, theta, phi, weights)
+            pi_terms = objective(TransferModel(theta, w, phi, psi), candidate, problem)
+            kept = pi_terms.total > terms.total
+            if not kept:
+                weights, terms = candidate, pi_terms
         except (ConvergenceError, ValidationError, np.linalg.LinAlgError) as exc:
             raise ConvergenceError(
                 f"fit aborted during iteration {iteration}: {exc}", state=state
             ) from exc
         after = record(iteration, "pi", current, terms.total,
-                       bound_gap=weights.bound_gap, sum_gap=weights.sum_gap)
+                       bound_gap=weights.bound_gap, sum_gap=weights.sum_gap,
+                       kept=kept)
         trace.append(after)
         term_trace.append(residual_entry(iteration, terms))
         state = snapshot(iteration)

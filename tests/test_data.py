@@ -119,6 +119,72 @@ class TestSparseLoader:
             load_dataset(path, "sparse-svmlight")
 
 
+    def test_repeated_index_keeps_last_value(self, tmp_path):
+        path = tmp_path / "s.svm"
+        path.write_text("1 2:1.0 3:5.0 2:7.0\n-1 1:1.0 1:0.0\n")
+        ds = load_dataset(path, "sparse-svmlight", n_features=3)
+        np.testing.assert_array_equal(ds.features, [[0.0, 7.0, 5.0], [0.0, 0.0, 0.0]])
+
+    def test_tab_separators(self, tmp_path):
+        spaced, tabbed = tmp_path / "spaced.svm", tmp_path / "tabbed.svm"
+        spaced.write_text("1 1:2.0 3:1.0\n? 2:0.5\n")
+        tabbed.write_text("1\t1:2.0 \t3:1.0\n?\t2:0.5\n")
+        a = load_dataset(spaced, "sparse-svmlight")
+        b = load_dataset(tabbed, "sparse-svmlight")
+        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_entries_read_as_int_and_float_read_them(self, tmp_path):
+        path = tmp_path / "s.svm"
+        path.write_text("1 +1:1e-3 1_0:2.5 03:-0.0 2:+.5\n")
+        ds = load_dataset(path, "sparse-svmlight", n_features=10)
+        expected = np.zeros(10)
+        expected[[0, 9, 2, 1]] = [1e-3, 2.5, -0.0, 0.5]
+        assert ds.features[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("token", ["1:", "1.5:2", "x:1", "1:abc", ":1", "1:2:3",
+                                       "1::2"])
+    def test_malformed_token_names_its_line(self, tmp_path, token):
+        path = tmp_path / "s.svm"
+        path.write_text(f"1 1:2.0\n-1 2:1.0 {token} 3:1.0\n")
+        with pytest.raises(ParseError, match=f"line 2: malformed entry {token!r}"):
+            load_dataset(path, "sparse-svmlight")
+
+    def test_token_without_colon_balanced_by_one_with_two(self, tmp_path):
+        path = tmp_path / "s.svm"
+        path.write_text("1 1:2:3 4\n")
+        with pytest.raises(ParseError, match="line 1: malformed entry '1:2:3'"):
+            load_dataset(path, "sparse-svmlight")
+
+    @pytest.mark.parametrize("text, n_features, message", [
+        ("1 1:nan\n", None, "non-finite"),
+        ("1 99999999999999999999:1.0\n", 4, "line 1: feature index .* exceeds"),
+    ])
+    def test_invalid_value_or_index_rejected(self, tmp_path, text, n_features, message):
+        path = tmp_path / "s.svm"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            load_dataset(path, "sparse-svmlight", n_features=n_features)
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        path = tmp_path / "s.svm"
+        path.write_text("1 1:1.0\n1 0:1.0\n1 oops\n2 1:1.0\n")
+        with pytest.raises(ValidationError, match="line 2: feature index 0"):
+            load_dataset(path, "sparse-svmlight")
+        path.write_text("1 1:1.0 oops\n2 1:1.0\n")
+        with pytest.raises(ParseError, match="line 1"):
+            load_dataset(path, "sparse-svmlight")
+
+    def test_only_unlabeled_rows_without_entries(self, tmp_path):
+        path = tmp_path / "s.svm"
+        path.write_text("?\n?\n")
+        ds = load_dataset(path, "sparse-svmlight", n_features=3)
+        np.testing.assert_array_equal(ds.features, np.zeros((2, 3)))
+        assert ds.labeled_count == 0
+        with pytest.raises(ValidationError, match="dimension"):
+            load_dataset(path, "sparse-svmlight")
+
+
 class TestRoundTrip:
     def test_dense_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -138,6 +204,18 @@ class TestRoundTrip:
         save_dataset(ds, path, "sparse-svmlight")
         back = load_dataset(path, "sparse-svmlight", n_features=6)
         np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_sparse_bitwise_at_50_by_30(self, tmp_path):
+        rng = np.random.default_rng(14)
+        feats = rng.standard_normal((50, 30)) * 10.0 ** rng.integers(-5, 5, (50, 30))
+        feats[rng.random((50, 30)) < 0.5] = 0.0
+        feats[3, 4] = -0.0
+        ds = DomainDataset(feats, np.where(rng.random(20) < 0.5, 1.0, -1.0))
+        path = tmp_path / "rt.svm"
+        save_dataset(ds, path, "sparse-svmlight")
+        back = load_dataset(path, "sparse-svmlight", n_features=30)
+        assert back.features.tobytes() == np.where(feats == 0.0, 0.0, feats).tobytes()
         np.testing.assert_array_equal(back.labels, ds.labels)
 
     @pytest.mark.parametrize("fmt", ["dense-csv", "sparse-svmlight"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wdmatch import neighborhood
 from wdmatch.errors import ValidationError
 from wdmatch.neighborhood import (
     NeighborhoodGraph,
@@ -27,6 +28,15 @@ def kkt_certificate(point, neighbors, omega, tol=1e-6):
     return bool(np.all(grad[~active] >= lam - tol))
 
 
+def stable_argsort_knn(points, k):
+    """The k first entries of a stable argsort of each row's squared distances."""
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    dists = sq_norms[:, None] + sq_norms[None, :] - 2.0 * points @ points.T
+    np.maximum(dists, 0.0, out=dists)
+    np.fill_diagonal(dists, np.inf)
+    return np.argsort(dists, axis=1, kind="stable")[:, :k]
+
+
 class TestBuildKnn:
     def test_three_points_on_a_line(self):
         pts = np.array([[0.0], [1.0], [10.0]])
@@ -51,6 +61,36 @@ class TestBuildKnn:
             dists[i] = np.inf
             expected = np.argsort(dists, kind="stable")[:5]
             np.testing.assert_array_equal(nbrs[i], expected)
+
+    def test_tie_at_kth_distance_takes_smaller_indices(self):
+        # From point 0: point 4 at 0.25, then points 2, 3 and 5 tie at 1.
+        pts = np.array([[0.0], [5.0], [1.0], [-1.0], [0.5], [1.0]])
+        assert build_knn(pts, 3)[0].tolist() == [4, 2, 3]
+
+    @pytest.mark.parametrize("case", ["random", "rounded", "duplicated", "k=n-1",
+                                      "k=n-1 rounded"])
+    def test_matches_stable_argsort(self, case):
+        rng = np.random.default_rng(7)
+        if case == "random":
+            pts, k = rng.standard_normal((300, 4)), 5
+        elif case == "rounded":
+            pts, k = np.round(rng.standard_normal((400, 2)), 1), 7
+        elif case == "duplicated":
+            pts, k = np.tile(rng.standard_normal((50, 3)), (6, 1)), 8
+        elif case == "k=n-1":
+            pts = rng.standard_normal((40, 3))
+            k = len(pts) - 1
+        else:
+            pts = np.round(rng.standard_normal((40, 2)), 1)
+            k = len(pts) - 1
+        np.testing.assert_array_equal(build_knn(pts, k), stable_argsort_knn(pts, k))
+
+    def test_blocks_match_stable_argsort(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pts = np.round(rng.standard_normal((100, 2)), 1)
+        # 7 rows of distances per block: 15 blocks, the last one short.
+        monkeypatch.setattr(neighborhood, "_BLOCK_BYTES", 7 * 8 * len(pts))
+        np.testing.assert_array_equal(build_knn(pts, 6), stable_argsort_knn(pts, 6))
 
     def test_k_out_of_range(self):
         pts = np.zeros((4, 2))

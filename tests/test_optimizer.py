@@ -18,6 +18,7 @@ from wdmatch.model import (
     hinge_losses,
     objective,
 )
+from wdmatch import optimizer
 from wdmatch.neighborhood import NeighborhoodGraph, build_graph
 from wdmatch.optimizer import (
     InstanceWeightHessian,
@@ -647,6 +648,26 @@ class TestFit:
             else:
                 assert min(event["dual_products"]) > 0
                 assert max(event["dual_kkt"]) <= 1e-9
+
+    def test_pi_step_that_raises_the_objective_is_not_taken(self, monkeypatch):
+        _, source, target, *_ = small_problem(98)
+        hp = HyperParams(outer_iters=3, subgrad_iters=10, k=2, r=2, tol=0.0)
+        records = [e for e in fit(source, target, hp).substeps if e["step"] == "pi"]
+        assert [e["kept"] for e in records] == [False] * 3
+
+        def uphill(problem, theta, phi, weights):
+            # Half a step from the QP's minimizer back past the incoming
+            # weights: feasible from uniform weights at delta = 3, and higher,
+            # because the objective is convex in pi.
+            best = solve_pi(problem, theta, phi, weights).pi
+            return SourceWeights(weights.pi + 0.5 * (weights.pi - best), hp.delta)
+
+        monkeypatch.setattr(optimizer, "solve_pi", uphill)
+        state = fit(source, target, hp)
+        assert state.iteration == 3
+        records = [e for e in state.substeps if e["step"] == "pi"]
+        assert all(e["kept"] and e["after"] == e["before"] for e in records)
+        np.testing.assert_array_equal(state.weights.pi, np.ones(source.n))
 
     def test_tolerance_stops_early(self):
         _, source, target, *_ = small_problem(92)
