@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .data import (
-    SyntheticShiftSpec, generate_synthetic_pair, load_dataset, load_json, save_dataset,
+    DENSE_CSV, FORMATS, SPARSE_SVMLIGHT, SyntheticShiftSpec, generate_synthetic_pair,
+    load_dataset, load_json, save_dataset,
 )
 from .errors import ConvergenceError, ValidationError
 from .evaluate import load_experiment_config, resolve_datasets, run_cv, write_report
@@ -61,13 +62,11 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--spec", required=True, help="synthetic spec JSON")
     p_synth.add_argument("--out-prefix", required=True,
                          help="prefix for the source/target output files")
-    p_synth.add_argument("--format", default="dense-csv",
-                         choices=("dense-csv", "sparse-svmlight"))
+    p_synth.add_argument("--format", default=DENSE_CSV, choices=FORMATS)
 
     p_graph = sub.add_parser("dump-graph", help="write a neighborhood graph as JSON")
     p_graph.add_argument("--data", required=True, help="dataset file")
-    p_graph.add_argument("--format", default="dense-csv",
-                         choices=("dense-csv", "sparse-svmlight"))
+    p_graph.add_argument("--format", default=DENSE_CSV, choices=FORMATS)
     p_graph.add_argument("--n-features", type=int, default=None,
                          help="declared dimension for sparse input")
     p_graph.add_argument("--k", type=int, default=5)
@@ -121,7 +120,7 @@ def _cmd_synth(args) -> int:
     spec = load_json(args.spec, SyntheticShiftSpec)
     source, target = generate_synthetic_pair(spec)
     prefix = Path(args.out_prefix)
-    suffix = ".svm" if args.format == "sparse-svmlight" else ".csv"
+    suffix = ".svm" if args.format == SPARSE_SVMLIGHT else ".csv"
     if args.out_prefix.endswith(("/", "\\")) or prefix.is_dir():
         prefix.mkdir(parents=True, exist_ok=True)
         source_path = prefix / ("source" + suffix)

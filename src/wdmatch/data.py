@@ -147,7 +147,8 @@ def _load_sparse(lines, n_features) -> tuple[np.ndarray, list]:
     pair with ``:`` gives back the line's tokens, that is when every token
     has one ``:`` between two non-empty fields. A line that fails a check is
     walked token by token by :func:`_raise_sparse_error`, which raises its
-    first fault. A repeated index keeps its last value.
+    first fault. A repeated index keeps its last value. A dimension too large
+    for numpy to allocate the dense rows raises :class:`ValidationError`.
     """
     labels, counts = [], []
     # Each list starts with an empty array, so a file of no lines concatenates.
@@ -173,10 +174,17 @@ def _load_sparse(lines, n_features) -> tuple[np.ndarray, list]:
         counts.append(idx.size)
     cols, vals = np.concatenate(cols), np.concatenate(vals)
     dim = n_features if n_features is not None else int(cols.max(initial=-1)) + 1
+    try:  # before the flat indices, whose row * dim can overflow int64
+        rows = np.zeros((len(labels), dim))
+    except (ValueError, MemoryError):
+        what = "feature index" if n_features is None else "declared dimension"
+        raise ValidationError(
+            f"{what} {dim} is too large: numpy cannot allocate "
+            f"{len(labels)} rows of {dim} features"
+        ) from None
     flat = np.repeat(np.arange(len(labels)) * dim, counts) + cols
     _, last = np.unique(flat[::-1], return_index=True)
     keep = flat.size - 1 - last
-    rows = np.zeros((len(labels), dim))
     rows.ravel()[flat[keep]] = vals[keep]
     return rows, labels
 

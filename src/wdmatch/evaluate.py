@@ -313,7 +313,6 @@ def rotated_benchmark_spec(
     seed: int,
     samples: int = BENCHMARK_SAMPLES,
     dim: int = BENCHMARK_DIM,
-    noise: float = 0.0,
 ) -> SyntheticShiftSpec:
     translation = np.zeros(dim)
     translation[: len(BENCHMARK_TRANSLATION)] = BENCHMARK_TRANSLATION[
@@ -325,7 +324,6 @@ def rotated_benchmark_spec(
         separation=BENCHMARK_SEPARATION,
         angle=BENCHMARK_ANGLE,
         translation=translation,
-        noise=noise,
         seed=seed,
     )
 

@@ -4,6 +4,9 @@ The model couples a shared linear classifier w in an r-dimensional common
 space (reached through a row-orthonormal projection) with per-domain effective
 classifiers phi and psi acting on the original features. The adaptive
 corrections u = phi - theta'w and v = psi - theta'w are derived, never stored.
+A :class:`Problem` holds each fit's fixed data: the target residual matrix,
+both raw feature means (the source mean weighted by pi) and the hinge duals.
+The mean-matching term is half the squared gap between the projected means.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .data import DomainDataset
 from .errors import ValidationError
-from .neighborhood import NeighborhoodGraph, reconstruction_residuals
+from .neighborhood import NeighborhoodGraph
 
 _ORTH_TOL = 1e-8
 
@@ -184,46 +187,6 @@ class HyperParams:
         return r
 
 
-def project(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Map a vector (or rows of a matrix) into the common space."""
-    theta = np.asarray(theta, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.size != theta.shape[1]:
-            raise ValidationError("vector dimension does not match theta")
-        return theta @ x
-    if x.ndim == 2:
-        if x.shape[1] != theta.shape[1]:
-            raise ValidationError("matrix width does not match theta")
-        return x @ theta.T
-    raise ValidationError("expected a vector or a matrix of row vectors")
-
-
-def weighted_source_mean(
-    theta: np.ndarray, source: DomainDataset, weights: SourceWeights
-) -> np.ndarray:
-    """(1/n) sum_i pi_i * theta x_i over the source points."""
-    if weights.n != source.n:
-        raise ValidationError("weight vector length does not match the source")
-    return project(theta, source.features.T @ weights.pi / source.n)
-
-
-def target_mean(theta: np.ndarray, target: DomainDataset) -> np.ndarray:
-    """Plain mean of the projected target points."""
-    return project(theta, target.features.mean(axis=0))
-
-
-def matching_distance(
-    theta: np.ndarray,
-    source: DomainDataset,
-    weights: SourceWeights,
-    target: DomainDataset,
-) -> float:
-    """Half the squared distance between the two domain means in common space."""
-    gap = weighted_source_mean(theta, source, weights) - target_mean(theta, target)
-    return 0.5 * float(gap @ gap)
-
-
 def classify_source(model: TransferModel, x: np.ndarray) -> np.ndarray | float:
     """Source-domain decision score phi'x (vector in, scalar out)."""
     x = np.asarray(x, dtype=np.float64)
@@ -313,9 +276,10 @@ class Problem:
     Built once from the two datasets, the hyperparameters and both
     neighborhood graphs; validated on construction. It carries the target
     residual matrix of the response-smoothness term, the raw target feature
-    mean and the labeled target rows. The instance-weight QP applies
-    ``I - W`` straight from the source graph's (n, k) arrays, so nothing of
-    size n x n is stored.
+    mean and the labeled target rows; :meth:`source_mean` gives the raw source
+    mean under instance weights pi. The instance-weight QP applies ``I - W``
+    straight from the source graph's (n, k) arrays, so nothing of size n x n
+    is stored.
 
     For c1 > 0 it also carries the :class:`HingeDual` of each effective
     classifier: ``source_dual`` for phi (rows y_i x_i, H = c1 I) and
@@ -345,7 +309,7 @@ class Problem:
             raise ValidationError("source and target dimensions differ")
         if not source.is_fully_labeled():
             raise ValidationError("source domain must be fully labeled")
-        residuals = reconstruction_residuals(target.features, self.target_graph)
+        residuals = self.target_graph.residual(target.features)
         target_mean = target.features.mean(axis=0)
         for arr in (residuals, target_mean):
             arr.flags.writeable = False
@@ -364,6 +328,10 @@ class Problem:
             )
         object.__setattr__(self, "source_dual", source_dual)
         object.__setattr__(self, "target_dual", target_dual)
+
+    def source_mean(self, pi: np.ndarray) -> np.ndarray:
+        """The pi-weighted raw source mean X' pi / n."""
+        return self.source.features.T @ pi / self.source.n
 
 
 def classifier_terms(problem: Problem, phi, psi, shared, pi) -> tuple:
@@ -393,7 +361,7 @@ def objective(
     hinge runs over the labeled block only; the response-smoothness penalty
     runs over every target point.
     """
-    source, target, hp = problem.source, problem.target, problem.hp
+    source, hp = problem.source, problem.hp
     if source.dim != model.m:
         raise ValidationError("dataset dimension does not match the model")
     if weights.n != source.n:
@@ -406,7 +374,9 @@ def objective(
     pi_gap = problem.source_graph.residual(weights.pi)
     weight_smoothness = hp.c2 * float(pi_gap @ pi_gap)
 
-    mean_matching = hp.c3 * matching_distance(model.theta, source, weights, target)
+    theta = model.theta
+    gap = theta @ problem.source_mean(weights.pi) - theta @ problem.target_mean
+    mean_matching = hp.c3 * (0.5 * float(gap @ gap))
 
     return ObjectiveTerms(
         source_hinge=source_hinge,

@@ -10,7 +10,9 @@ partition selects each row's k nearest, ordered by (distance, index), and only
 rows with a tie at the k-th distance are sorted in full, so ties always go to
 the smaller index. :func:`build_graph` solves the n small simplex QPs of a
 point set together, in one vectorised active set; :func:`solve_reconstruction`
-solves one through the general QP solver.
+solves one through the general QP solver. A built graph applies ``I - W`` and
+its adjoint straight from its (n, k) arrays, to vectors of values or to
+matrices of point features.
 """
 
 from __future__ import annotations
@@ -70,8 +72,13 @@ class NeighborhoodGraph:
         return self.neighbors.shape[1]
 
     def residual(self, values: np.ndarray) -> np.ndarray:
-        """(I - W) v: each value minus its reconstruction from its neighbors."""
-        return values - np.einsum("nk,nk->n", self.weights, values[self.neighbors])
+        """(I - W) v: each value minus its reconstruction from its neighbors.
+
+        ``values`` is an (n,) vector or an (n, m) matrix; a matrix gives the
+        rows x_i - sum_k w_ik x_{N_ik}, the response-smoothness design matrix.
+        """
+        recon = np.einsum("nk,nk...->n...", self.weights, values[self.neighbors])
+        return values - recon
 
     def residual_adjoint(self, values: np.ndarray) -> np.ndarray:
         """(I - W)' v: scatters each row's coefficients back to its neighbors."""
@@ -256,13 +263,4 @@ def build_graph(dataset, k: int) -> NeighborhoodGraph:
     diffs = points[neighbors]
     np.subtract(points[:, None, :], diffs, out=diffs)
     return NeighborhoodGraph(neighbors, _simplex_weights(_scaled_grams(diffs)))
-
-
-def reconstruction_residuals(points, graph: NeighborhoodGraph) -> np.ndarray:
-    """Rows x_i - sum_k w_ik x_{N_ik}; the response-smoothness design matrix."""
-    points = _as_matrix(points)
-    if points.shape[0] != graph.n:
-        raise ValidationError("graph size does not match the point matrix")
-    recon = np.einsum("nk,nkm->nm", graph.weights, points[graph.neighbors])
-    return points - recon
 

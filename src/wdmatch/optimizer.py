@@ -178,7 +178,7 @@ def solve_theta(problem: Problem, phi, psi, weights: SourceWeights) -> np.ndarra
     source, hp = problem.source, problem.hp
     m = source.dim
     combined = np.asarray(phi, dtype=np.float64) + np.asarray(psi, dtype=np.float64)
-    mean_gap = source.features.T @ weights.pi / source.n - problem.target_mean
+    mean_gap = problem.source_mean(weights.pi) - problem.target_mean
     terms = [(-hp.c1 / 4.0, combined), (hp.c3 / 2.0, mean_gap)]
     return min_trace_rows(terms, m, hp.resolved_r(m))
 
@@ -368,10 +368,6 @@ def fit(
     hp = HyperParams() if hp is None else hp
     if not isinstance(source, DomainDataset) or not isinstance(target, DomainDataset):
         raise ValidationError("fit expects DomainDataset inputs")
-    if not source.is_fully_labeled():
-        raise ValidationError("source domain must be fully labeled")
-    if source.dim != target.dim:
-        raise ValidationError("source and target dimensions differ")
     smallest = min(source.n, target.n)
     if hp.k > smallest - 1:
         raise ValidationError(

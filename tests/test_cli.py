@@ -167,6 +167,17 @@ class TestFitCommand:
         assert err.startswith("error: c1 must be finite") and "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_huge_svmlight_index_exit_1(self, tmp_path, capsys):
+        # numpy refuses a 2^62-wide array outright; nothing large is allocated.
+        data = tmp_path / "huge.svm"
+        data.write_text("1 4611686018427387904:1.0\n-1 1:0.5\n")
+        entry = {"path": str(data), "format": "sparse-svmlight"}
+        config = write_config(tmp_path, {"source": entry, "target": entry})
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: feature index 4611686018427387904")
+        assert "Traceback" not in err
+
     def test_convergence_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise ConvergenceError("budget exhausted")

@@ -159,6 +159,11 @@ class TestSparseLoader:
     @pytest.mark.parametrize("text, n_features, message", [
         ("1 1:nan\n", None, "non-finite"),
         ("1 99999999999999999999:1.0\n", 4, "line 1: feature index .* exceeds"),
+        # 2^62 features of 8 bytes exceed numpy's largest array size, so numpy
+        # refuses the dense rows without trying to allocate them.
+        ("1 4611686018427387904:1.0\n-1 1:0.5\n", None,
+         "feature index 4611686018427387904 is too large"),
+        ("1 1:1.0\n", 2**62, "declared dimension 4611686018427387904 is too large"),
     ])
     def test_invalid_value_or_index_rejected(self, tmp_path, text, n_features, message):
         path = tmp_path / "s.svm"

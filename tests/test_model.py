@@ -13,11 +13,7 @@ from wdmatch.model import (
     classify_source,
     classify_target,
     hinge_losses,
-    matching_distance,
     objective,
-    project,
-    target_mean,
-    weighted_source_mean,
 )
 from wdmatch.neighborhood import build_graph
 
@@ -45,6 +41,19 @@ def random_instance(seed, n1=8, n2=8, m=4, r=2, k=2):
     weights = SourceWeights(pi, 3.0)
     graphs = (build_graph(source, k), build_graph(target, k))
     return source, target, model, weights, graphs
+
+
+def pair_problem(source, target, hp=None):
+    """A Problem over the two datasets with 1-nearest-neighbor graphs."""
+    hp = HyperParams() if hp is None else hp
+    return Problem(source, target, hp, build_graph(source, 1), build_graph(target, 1))
+
+
+def mean_matching(theta, source, weights, target):
+    """The mean-matching term at c3 = 1 for projection rows ``theta``."""
+    r, m = theta.shape
+    model = TransferModel(theta, np.zeros(r), np.zeros(m), np.zeros(m))
+    return objective(model, weights, pair_problem(source, target)).mean_matching
 
 
 class TestTransferModel:
@@ -119,56 +128,74 @@ class TestHyperParams:
 
 
 class TestProjection:
+    """The projection into the common space, as the mean-matching term sees it."""
+
     def test_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(project(np.eye(3), x), x)
+        rng = np.random.default_rng(2)
+        src = DomainDataset(rng.standard_normal((6, 3)), np.ones(6))
+        tgt = DomainDataset(rng.standard_normal((5, 3)), np.ones(2))
+        weights = SourceWeights.uniform(6, 3.0)
+        gap = src.features.mean(axis=0) - tgt.features.mean(axis=0)
+        d = mean_matching(np.eye(3), src, weights, tgt)
+        assert d == pytest.approx(0.5 * float(gap @ gap), abs=1e-14)
 
     def test_coordinate_selection(self):
+        src = DomainDataset([[3.0, 4.0], [3.0, 4.0]], [1.0, 1.0])
+        tgt = DomainDataset([[0.0, 0.0], [0.0, 0.0]], [1.0])
         theta = np.array([[1.0, 0.0]])
-        np.testing.assert_array_equal(project(theta, [3.0, 4.0]), [3.0])
+        d = mean_matching(theta, src, SourceWeights.uniform(2, 3.0), tgt)
+        assert d == 4.5
 
     def test_norm_non_expansion(self):
         rng = np.random.default_rng(3)
-        theta = random_orthonormal_rows(rng, 3, 8)
-        for _ in range(50):
-            x = rng.standard_normal(8)
-            assert np.linalg.norm(theta @ x) <= np.linalg.norm(x) + 1e-9
+        for _ in range(20):
+            src = DomainDataset(rng.standard_normal((6, 8)), np.ones(6))
+            tgt = DomainDataset(rng.standard_normal((5, 8)), np.ones(2))
+            weights = SourceWeights.uniform(6, 3.0)
+            theta = random_orthonormal_rows(rng, 3, 8)
+            full = mean_matching(np.eye(8), src, weights, tgt)
+            assert mean_matching(theta, src, weights, tgt) <= full + 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            project(np.eye(3), [1.0, 2.0])
+        source, target, _, weights, graphs = random_instance(24)
+        model = TransferModel(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3))
+        with pytest.raises(ValidationError, match="dimension does not match"):
+            objective(model, weights, Problem(source, target, HyperParams(), *graphs))
 
 
 class TestMeans:
     def test_uniform_weights_give_plain_mean(self):
         rng = np.random.default_rng(5)
         source = DomainDataset(rng.standard_normal((6, 3)), np.ones(6))
-        weights = SourceWeights.uniform(6, 3.0)
-        mu = weighted_source_mean(np.eye(3), source, weights)
+        mu = pair_problem(source, source).source_mean(SourceWeights.uniform(6, 3.0).pi)
         np.testing.assert_allclose(mu, source.features.mean(axis=0), atol=1e-12)
 
     def test_two_point_mean(self):
         source = DomainDataset([[0.0, 0.0], [2.0, 2.0]], [1.0, -1.0])
-        mu = weighted_source_mean(np.eye(2), source, SourceWeights([1.0, 1.0], 3.0))
+        mu = pair_problem(source, source).source_mean(np.array([1.0, 1.0]))
         np.testing.assert_allclose(mu, [1.0, 1.0])
 
     def test_mass_on_one_point(self):
         source = DomainDataset([[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0])
-        mu = weighted_source_mean(np.eye(2), source, SourceWeights([2.0, 0.0], 3.0))
+        mu = pair_problem(source, source).source_mean(np.array([2.0, 0.0]))
         np.testing.assert_allclose(mu, [1.0, 0.0])
 
     def test_target_mean_cases(self):
-        single = DomainDataset([[1.0, 2.0]], [1.0])
-        np.testing.assert_allclose(target_mean(np.eye(2), single), [1.0, 2.0])
+        source = DomainDataset([[0.0, 0.0], [1.0, 1.0]], [1.0, -1.0])
+        single = DomainDataset([[1.0, 2.0], [1.0, 2.0]], [1.0])
+        np.testing.assert_allclose(pair_problem(source, single).target_mean, [1.0, 2.0])
         pair = DomainDataset([[1.0, -1.0], [-1.0, 1.0]], [1.0, -1.0])
-        np.testing.assert_allclose(target_mean(np.eye(2), pair), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(
+            pair_problem(source, pair).target_mean, [0.0, 0.0], atol=1e-15
+        )
 
     def test_target_mean_is_unit_weighted_source_mean(self):
         rng = np.random.default_rng(8)
         data = DomainDataset(rng.standard_normal((7, 3)), np.ones(7))
+        problem = pair_problem(data, data)
         np.testing.assert_allclose(
-            target_mean(np.eye(3), data),
-            weighted_source_mean(np.eye(3), data, SourceWeights.uniform(7, 3.0)),
+            problem.target_mean,
+            problem.source_mean(SourceWeights.uniform(7, 3.0).pi),
             atol=1e-14,
         )
 
@@ -179,13 +206,13 @@ class TestMatchingDistance:
         feats = rng.standard_normal((5, 3))
         src = DomainDataset(feats, np.ones(5))
         tgt = DomainDataset(feats, np.ones(2))
-        d = matching_distance(np.eye(3), src, SourceWeights.uniform(5, 3.0), tgt)
+        d = mean_matching(np.eye(3), src, SourceWeights.uniform(5, 3.0), tgt)
         assert d == pytest.approx(0.0, abs=1e-15)
 
     def test_half_squared_gap(self):
-        src = DomainDataset([[1.0, 0.0]], [1.0])
-        tgt = DomainDataset([[0.0, 0.0]], [1.0])
-        d = matching_distance(np.eye(2), src, SourceWeights([1.0], 3.0), tgt)
+        src = DomainDataset([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+        tgt = DomainDataset([[0.0, 0.0], [0.0, 0.0]], [1.0])
+        d = mean_matching(np.eye(2), src, SourceWeights.uniform(2, 3.0), tgt)
         assert d == pytest.approx(0.5)
 
     def test_depends_on_data_only_through_projections(self):
@@ -198,9 +225,20 @@ class TestMatchingDistance:
         rotated_src = DomainDataset(src.features @ rot, src.labels)
         rotated_tgt = DomainDataset(tgt.features @ rot, tgt.labels)
         # Rows become R'x, so theta R recovers the original projections.
-        base = matching_distance(theta, src, weights, tgt)
-        moved = matching_distance(theta @ rot, rotated_src, weights, rotated_tgt)
+        base = mean_matching(theta, src, weights, tgt)
+        moved = mean_matching(theta @ rot, rotated_src, weights, rotated_tgt)
         assert moved == pytest.approx(base, abs=1e-9)
+
+    def test_bitwise_equal_to_the_gap_of_projected_means(self):
+        for seed in range(5):
+            source, target, model, weights, graphs = random_instance(50 + seed)
+            hp = HyperParams(c3=1.7)
+            terms = objective(model, weights, Problem(source, target, hp, *graphs))
+            # Reference: project each raw mean, then take half the squared gap.
+            theta = model.theta
+            gap = (theta @ (source.features.T @ weights.pi / source.n)
+                   - theta @ target.features.mean(axis=0))
+            assert terms.mean_matching == hp.c3 * (0.5 * float(gap @ gap))
 
 
 class TestClassifiers:

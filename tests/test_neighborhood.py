@@ -7,7 +7,6 @@ from wdmatch.neighborhood import (
     NeighborhoodGraph,
     build_graph,
     build_knn,
-    reconstruction_residuals,
     solve_reconstruction,
 )
 
@@ -272,10 +271,33 @@ class TestGraphOperators:
         rng = np.random.default_rng(4)
         pts = rng.standard_normal((12, 3))
         graph = build_graph(pts, 2)
-        resid = reconstruction_residuals(pts, graph)
+        resid = graph.residual(pts)
         for i in range(12):
             direct = pts[i] - graph.weights[i] @ pts[graph.neighbors[i]]
             np.testing.assert_allclose(resid[i], direct, atol=1e-12)
+
+    @pytest.mark.parametrize("n, k, m", [(40, 2, 5), (40, 3, 5), (30, 29, 30), (25, 4, 1)])
+    def test_matrix_residual_matches_vector_residual_per_column(self, n, k, m):
+        rng = np.random.default_rng(n + k + m)
+        pts = rng.standard_normal((n, m))
+        graph = build_graph(pts, k)
+        weights, nbrs = graph.weights, graph.neighbors
+        matrix = graph.residual(pts)
+        # Each shape reproduces its own einsum bitwise.
+        np.testing.assert_array_equal(
+            matrix, pts - np.einsum("nk,nkm->nm", weights, pts[nbrs])
+        )
+        columns = []
+        for j in range(m):
+            col = pts[:, j]
+            columns.append(graph.residual(col))
+            np.testing.assert_array_equal(
+                columns[-1], col - np.einsum("nk,nk->n", weights, col[nbrs])
+            )
+        # einsum orders a vector's k-term sums differently from a matrix's, so
+        # from k = 3 the two agree to rounding of a convex combination only.
+        bound = (k + 1) * np.finfo(float).eps * np.abs(pts).max()
+        np.testing.assert_allclose(matrix, np.column_stack(columns), rtol=0, atol=bound)
 
     def test_residual_and_adjoint_match_dense_operator(self):
         rng = np.random.default_rng(6)

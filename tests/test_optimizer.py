@@ -625,7 +625,15 @@ class TestFit:
             return calls
 
         graphs = count("build_graph")
-        residuals = count("reconstruction_residuals")
+        residuals = []
+        real_residual = NeighborhoodGraph.residual
+
+        def counted_residual(graph, values):
+            if np.ndim(values) == 2:  # the residual matrix, not a pi or QP vector
+                residuals.append(values.shape)
+            return real_residual(graph, values)
+
+        monkeypatch.setattr(NeighborhoodGraph, "residual", counted_residual)
         _, source, target, _ = small_problem(96)
         hp = HyperParams(outer_iters=outer_iters, subgrad_iters=10, k=2, r=2, tol=0.0)
         state = fit(source, target, hp)
@@ -682,6 +690,19 @@ class TestFit:
             fit(unlabeled_source, target, HyperParams(k=2))
         with pytest.raises(ValidationError):
             fit(source, target, HyperParams(k=50))
+
+    @pytest.mark.parametrize("fault, message", [
+        ("partly-labeled-source", "source domain must be fully labeled"),
+        ("dimensions", "source and target dimensions differ"),
+    ])
+    def test_dataset_faults_raise_their_messages(self, fault, message):
+        _, source, target, *_ = small_problem(93)
+        if fault == "dimensions":
+            target = DomainDataset(target.features[:, :-1], target.labels)
+        else:
+            source = DomainDataset(source.features, source.labels[:-1])
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            fit(source, target, HyperParams(k=2))
 
     def test_term_trace_carries_residuals(self):
         _, source, target, *_ = small_problem(94)
