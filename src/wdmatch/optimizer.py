@@ -263,9 +263,10 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
     a linear SVM (Hsieh et al., ICML 2008): phi = s + A'alpha / c1 with
     A = diag(y) X and 0 <= alpha <= pi, and psi = H^-1 (c1 s + B'beta) with
     B the labeled target rows signed by label, 0 <= beta <= 1 and
-    H = c1 I + 2 c2 R'R. Here s = ``shared``. Both duals are solved by
-    :func:`~wdmatch.qp.solve_box_qp`, warm-started from ``duals`` (alpha
-    clipped to ``pi``). The incoming pair is kept when the new one does not
+    H = c1 I + 2 c2 R'R. Here s = ``shared``. Both duals are box-only QPs,
+    solved by GPCG through :func:`~wdmatch.qp.solve_box_qp` and warm-started
+    from ``duals`` (alpha clipped to ``pi``, which leaves a zero-width box
+    where pi is 0). The incoming pair is kept when the new one does not
     have a lower :func:`q_value`, so rounding cannot raise the objective.
 
     At c1 = 0 the block is not strongly convex, and it runs

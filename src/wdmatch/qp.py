@@ -1,16 +1,17 @@
-"""Convex quadratic programs over a box intersected with one sum constraint.
+"""Convex quadratic programs over a box, optionally with one sum constraint.
 
-Solves  minimize 0.5 x'Hx + f'x  subject to  lower <= x <= upper and
-sum(x) = eq_target, with H symmetric positive semidefinite. H is either a
-dense array or a linear operator, an object whose ``matvec(x)`` returns Hx;
-the solver only ever asks for products Hx, so both are handled alike.
+Solves  minimize 0.5 x'Hx + f'x  subject to  lower <= x <= upper and, unless
+the problem is box-only, sum(x) = eq_target, with H symmetric positive
+semidefinite. H is either a dense array or a linear operator, an object whose
+``matvec(x)`` returns Hx; the solver only ever asks for products Hx, so both
+are handled alike.
 
 The method is GPCG (More & Toraldo, SIAM J. Optim. 1, 1991): projected
 gradient steps with an Armijo search change many bounds at once, and
 conjugate gradients then minimize over the face those steps settle on. It is
 built on the exact projection onto the feasible set and stops on a KKT
-certificate. A plain projected-gradient routine is provided purely as a
-cross-check for tests.
+certificate. The sum constraint lives in two helpers: the projection, which
+is a clip without it, and the multiplier, which is 0 without it.
 """
 
 from __future__ import annotations
@@ -37,17 +38,18 @@ _REACH = 1e3
 
 @dataclass(frozen=True)
 class BoxEqQP:
-    """Problem data for one box-plus-equality QP instance.
+    """Problem data for one box QP instance, with or without a sum constraint.
 
     ``hess`` is a dense symmetric array, checked here, or an object with a
     ``matvec`` method, which the caller guarantees to be symmetric PSD.
+    ``eq_target`` is the required sum of x, or None for a box-only problem.
     """
 
     hess: object
     lin: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    eq_target: float
+    eq_target: float | None
 
     def __post_init__(self):
         lin = np.array(self.lin, dtype=np.float64, copy=True).reshape(-1)
@@ -67,18 +69,20 @@ class BoxEqQP:
             raise ValidationError("bound vectors must match the problem size")
         if np.any(lower > upper):
             raise ValidationError("lower bound exceeds upper bound")
-        slack = _FEAS_TOL * max(1.0, abs(float(self.eq_target)))
-        if not lower.sum() - slack <= self.eq_target <= upper.sum() + slack:
-            raise InfeasibleProblemError(
-                "sum constraint is unreachable within the bounds"
-            )
+        if self.eq_target is not None:
+            target = float(self.eq_target)
+            slack = _FEAS_TOL * max(1.0, abs(target))
+            if not lower.sum() - slack <= target <= upper.sum() + slack:
+                raise InfeasibleProblemError(
+                    "sum constraint is unreachable within the bounds"
+                )
+            object.__setattr__(self, "eq_target", target)
         for arr in (lin, lower, upper):
             arr.flags.writeable = False
         object.__setattr__(self, "hess", hess)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "eq_target", float(self.eq_target))
 
     @property
     def n(self) -> int:
@@ -88,9 +92,15 @@ class BoxEqQP:
     def dense(self) -> bool:
         return isinstance(self.hess, np.ndarray)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """The Hessian product Hx."""
-        return self.hess @ x if self.dense else self.hess.matvec(x)
+    @property
+    def equalities(self) -> int:
+        """The number of sum constraints: 1, or 0 for a box-only problem."""
+        return int(self.eq_target is not None)
+
+    @property
+    def matvec(self):
+        """The Hessian product x -> Hx, dispatched once per access."""
+        return self.hess.__matmul__ if self.dense else self.hess.matvec
 
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64)
@@ -101,7 +111,10 @@ class BoxEqQP:
 class QPSolution:
     """Solver output: feasible point, objective value and a KKT certificate.
 
-    ``iterations`` counts Hessian products, in search trials and CG steps.
+    ``iterations`` counts the Hessian products of search trials, CG steps and
+    bound steps. Not counted are the gradient each GPCG round starts from, the
+    final certificate's gradient and the two objective evaluations (start and
+    end), which add one product per round and three per solve.
     """
 
     x: np.ndarray
@@ -116,20 +129,24 @@ class QPSolution:
 
 
 def _interior_start(problem: BoxEqQP) -> np.ndarray:
-    """Deterministic feasible point on the segment between the bound vectors."""
+    """Deterministic feasible point on the segment between the bound vectors:
+    the box centre without a sum constraint."""
     span = problem.upper.sum() - problem.lower.sum()
     if span <= 0.0:
         return problem.lower.copy()
-    beta = (problem.eq_target - problem.lower.sum()) / span
-    beta = min(max(beta, 0.0), 1.0)
+    beta = 0.5
+    if problem.equalities:
+        beta = (problem.eq_target - problem.lower.sum()) / span
+        beta = min(max(beta, 0.0), 1.0)
     return problem.lower + beta * (problem.upper - problem.lower)
 
 
 def project_feasible(z, lower, upper, eq_target) -> np.ndarray:
     """Euclidean projection onto {lower <= x <= upper, sum(x) = eq_target}.
 
-    The projection is clip(z - nu, lower, upper) for the shift nu at which the
-    clipped sum hits the target. That sum is piecewise linear and
+    With ``eq_target`` None the set is the box alone and the projection is a
+    clip. Otherwise it is clip(z - nu, lower, upper) for the shift nu at which
+    the clipped sum hits the target. That sum is piecewise linear and
     non-increasing in nu with breakpoints z - upper and z - lower. Running
     sums over the sorted breakpoints locate the segment holding the target in
     O(n log n) (Kiwiel, Math. Program. 112, 2008); nu is then interpolated
@@ -139,7 +156,7 @@ def project_feasible(z, lower, upper, eq_target) -> np.ndarray:
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
     clipped = np.minimum(np.maximum(z, lower), upper)
-    if clipped.sum() == eq_target:
+    if eq_target is None or clipped.sum() == eq_target:
         return clipped
     top = upper.sum()
     if eq_target >= top:
@@ -166,16 +183,30 @@ def project_feasible(z, lower, upper, eq_target) -> np.ndarray:
     return np.minimum(np.maximum(z - nu, lower), upper)
 
 
-def _multiplier(grad, at_lo, at_up) -> float:
+def _centre(problem, values):
+    """The shift that makes ``values`` sum to zero: their mean, or 0 for a
+    box-only problem, whose steps need not keep the sum."""
+    return values.sum() / values.size if problem.equalities else 0.0
+
+
+def _sum_gap(problem, x) -> float:
+    """|sum(x) - eq_target|, or 0 for a box-only problem."""
+    return float(abs(x.sum() - problem.eq_target)) if problem.equalities else 0.0
+
+
+def _multiplier(problem, grad, at_lo, at_up) -> float:
     """Sum-constraint multiplier for the partition into bound and free coordinates.
 
-    The mean free gradient when a coordinate is free; at a vertex, the
-    midpoint between the lowest gradient at a lower bound and the highest at
-    an upper bound, which certifies the vertex whenever any value does.
+    0 for a box-only problem. Otherwise the mean free gradient when a
+    coordinate is free; at a vertex, the midpoint between the lowest gradient
+    at a lower bound and the highest at an upper bound, which certifies the
+    vertex whenever any value does.
     """
+    if not problem.equalities:
+        return 0.0
     free = ~(at_lo | at_up)
     if free.any():
-        return float(grad[free].mean())
+        return float(_centre(problem, grad[free]))
     pinned = at_lo & at_up
     lo_only = at_lo & ~pinned
     up_only = at_up & ~pinned
@@ -195,7 +226,7 @@ def _stationarity_residual(problem, x, at_lo, at_up):
     grad = problem.matvec(x) + problem.lin
     pinned = at_lo & at_up
     free = ~(at_lo | at_up)
-    lam = _multiplier(grad, at_lo, at_up)
+    lam = _multiplier(problem, grad, at_lo, at_up)
     residual = 0.0
     if free.any():
         residual = float(np.max(np.abs(grad[free] - lam)))
@@ -205,8 +236,7 @@ def _stationarity_residual(problem, x, at_lo, at_up):
     up_mult = grad[at_up & ~pinned] - lam
     if up_mult.size:
         residual = max(residual, float(np.max(np.maximum(0.0, up_mult))))
-    residual = max(residual, float(abs(x.sum() - problem.eq_target)))
-    return residual, lam, grad
+    return max(residual, _sum_gap(problem, x)), lam, grad
 
 
 def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
@@ -232,17 +262,17 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
             np.max(np.maximum(lower - x, 0.0), initial=0.0),
             np.max(np.maximum(x - upper, 0.0), initial=0.0),
         )
-        sum_gap = abs(x.sum() - problem.eq_target)
+        sum_gap = _sum_gap(problem, x)
         if bound_gap > 1e-8 or sum_gap > 1e-6 * max(1, n):
             raise ValidationError("start point is not feasible")
-        if bound_gap > 0.0 or sum_gap > 1e-12 * max(1.0, abs(problem.eq_target)):
+        if bound_gap > 0.0 or sum_gap > 1e-12 * max(1.0, abs(problem.eq_target or 0.0)):
             x = project_feasible(x, lower, upper, problem.eq_target)
     start_objective = problem.objective(x)
 
     x, iterations = _gpcg(problem, x)
     x = np.clip(x, lower, upper)
     residual, _, grad = _stationarity_residual(problem, x, x <= lower, x >= upper)
-    if residual > _KKT_LIMIT * max(1.0, float(np.max(np.abs(grad)))):
+    if residual > _KKT_LIMIT * max(1.0, float(np.max(np.abs(grad), initial=0.0))):
         raise ConvergenceError(
             f"GPCG stopped after {iterations} Hessian products with "
             f"KKT residual {residual:.3e}"
@@ -257,39 +287,15 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
     )
 
 
-@dataclass(frozen=True)
-class _WithSlack:
-    """A Hessian operator extended by one trailing coordinate without curvature."""
-
-    hess: object
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.append(self.hess.matvec(x[:-1]), 0.0)
-
-
 def solve_box_qp(hess, lin, upper, start=None) -> QPSolution:
     """Minimize 0.5 x'Hx + f'x over 0 <= x <= upper by :func:`solve_qp`.
 
-    ``hess`` is an operator with ``matvec``. The box QP is solved as a box+sum
-    QP over x and one slack coordinate t without curvature: 0 <= t <= sum(upper)
-    and sum(x) + t = sum(upper), which every point of the box meets with
-    exactly one t. ``start``, when given, must lie in the box. The returned
-    solution drops t; its certificate is that of the extended QP.
+    ``hess`` is an operator with ``matvec``. The problem is box-only
+    (``eq_target`` None), so GPCG's multiplier is 0 and its projection a clip.
+    ``start``, when given, must lie in the box.
     """
     upper = np.asarray(upper, dtype=np.float64).reshape(-1)
-    total = float(upper.sum())
-    if start is not None:
-        start = np.append(start, total - np.sum(start))
-    problem = BoxEqQP(
-        hess=_WithSlack(hess),
-        lin=np.append(lin, 0.0),
-        lower=np.zeros(upper.size + 1),
-        upper=np.append(upper, total),
-        eq_target=total,
-    )
-    solution = solve_qp(problem, start=start)
-    return QPSolution(solution.x[:-1], solution.objective, solution.iterations,
-                      solution.kkt_residual)
+    return solve_qp(BoxEqQP(hess, lin, np.zeros(upper.size), upper, None), start)
 
 
 def _wrong_sign(dual, at_lo, at_up, movable, scale):
@@ -322,7 +328,7 @@ def _gpcg(problem, x):
         x = np.where(upper - x <= snap, upper, x)
         at_lo, at_up = x <= lower, x >= upper
         _, lam, grad = _stationarity_residual(problem, x, at_lo, at_up)
-        scale = max(1.0, float(np.max(np.abs(grad))))
+        scale = max(1.0, float(np.max(np.abs(grad), initial=0.0)))
         dual = grad - lam
         free = ~(at_lo | at_up)
         if (np.max(np.abs(dual[free]), initial=0.0) <= _STAT_TOL * scale
@@ -363,13 +369,13 @@ def _gradient_projection(problem, x, grad):
     for _ in range(_GP_STEPS):
         at_lo, at_up = x <= lower, x >= upper
         free = ~(at_lo | at_up)
-        pivot = _multiplier(grad, at_lo, at_up)
+        pivot = _multiplier(problem, grad, at_lo, at_up)
         released = (at_lo & (grad < pivot)) | (at_up & (grad > pivot))
         moving = free | (movable & released)
-        if moving.sum() < 2:
+        if moving.sum() <= problem.equalities:
             break
         descent = np.where(moving, pivot - grad, 0.0)
-        descent[moving] -= descent[moving].mean()
+        descent[moving] -= _centre(problem, descent[moving])
         top = float(np.max(np.abs(descent)))
         if top == 0.0:
             break
@@ -410,29 +416,39 @@ def _gradient_projection(problem, x, grad):
 
 
 def _face_cg(problem, x, grad, tol, early_stop):
-    """Conjugate gradients over the free coordinates of x at fixed sum.
+    """Conjugate gradients over the free coordinates of x, at fixed sum if the
+    problem has a sum constraint.
 
-    Bound coordinates stay fixed; the residual is the negative gradient made
-    sum-zero over the free ones. CG stops once the residual's 2-norm is at
-    most ``tol`` and, with ``early_stop``, once a step gains less than a tenth
-    of the best step so far. A step that would leave the box ends CG with a
-    projected search along its direction; a direction without curvature moves
-    straight to the first blocking bound. Returns the point, the number of
-    Hessian products and whether CG ended at a bound.
+    Bound coordinates stay fixed; the residual is the negative gradient over
+    the free ones, made sum-zero under a sum constraint. CG stops once the
+    residual's 2-norm is at most ``tol`` and, with ``early_stop``, once a step
+    gains less than a tenth of the best step so far. A step that would leave
+    the box ends CG with a projected search along its direction; a direction
+    without curvature moves straight to the first blocking bound. A face of
+    one coordinate is worked on too unless the sum pins it. Returns the point,
+    the number of Hessian products and whether CG ended at a bound.
     """
     lower, upper = problem.lower, problem.upper
     free = np.flatnonzero((x > lower) & (x < upper))
-    if free.size < 2:
+    if free.size <= problem.equalities:
         return x, 0, False
     xf, lo, up = x[free], lower[free], upper[free]
-    resid = grad[free].mean() - grad[free]
+    face_grad = grad[free]
+    resid = _centre(problem, face_grad) - face_grad
     direction = resid.copy()
     rr = float(resid @ resid)
-    full = np.zeros(problem.n)
+    matvec = problem.matvec
+    if free.size < problem.n:
+        full = np.zeros(problem.n)
+
+        def face_matvec(d):
+            full[free] = d
+            return matvec(full)[free]
+    else:
+        face_matvec = matvec
     steps, best = 0, 0.0
     while rr > tol * tol and steps < 2 * free.size + 10:
-        full[free] = direction
-        h_dir = problem.matvec(full)[free]
+        h_dir = face_matvec(direction)
         steps += 1
         curvature = float(direction @ h_dir)
         room = np.divide(
@@ -452,11 +468,12 @@ def _face_cg(problem, x, grad, tol, early_stop):
             return x, steps + products, moved is not None
         xf = xf + alpha * direction
         resid -= alpha * h_dir
-        resid -= resid.mean()
+        resid -= _centre(problem, resid)
         rr_next = float(resid @ resid)
         gain = 0.5 * alpha * rr
         best = max(best, gain)
-        direction = resid + (rr_next / rr) * direction
+        direction *= rr_next / rr
+        direction += resid
         rr = rr_next
         if early_stop and gain <= _PROGRESS * best:
             break
@@ -479,6 +496,7 @@ def _bound_step(problem, x, free, direction, alpha, alpha_max, blocker):
     returns the number of Hessian products.
     """
     xf, lo, up = x[free], problem.lower[free], problem.upper[free]
+    total = xf.sum() if problem.equalities else None
     grad = (problem.matvec(x) + problem.lin)[free]
     full = np.zeros(problem.n)
     products = 1
@@ -493,7 +511,7 @@ def _bound_step(problem, x, free, direction, alpha, alpha_max, blocker):
     reach = _REACH * float(np.max(up - lo)) / float(np.max(np.abs(direction)))
     beta = min(alpha, reach)
     while np.isfinite(alpha) and beta > alpha_max:
-        candidate = project_feasible(xf + beta * direction, lo, up, xf.sum())
+        candidate = project_feasible(xf + beta * direction, lo, up, total)
         slope, gain = score(candidate)
         if slope < 0.0 and gain >= -_ARMIJO * slope:
             return candidate, products
@@ -503,28 +521,3 @@ def _bound_step(problem, x, free, direction, alpha, alpha_max, blocker):
     if score(moved)[1] <= 0.0:
         moved = None
     return moved, products
-
-
-def projected_gradient_oracle(
-    problem: BoxEqQP, steps: int = 2000, step_size: float | None = None
-) -> np.ndarray:
-    """Plain projected gradient descent over the feasible set.
-
-    Exists solely to cross-validate :func:`solve_qp` in tests; it trades speed
-    for transparency. When ``step_size`` is omitted the inverse of the largest
-    Hessian eigenvalue is used. Iteration stops early at an exact fixed point,
-    where every further step would return the same iterate.
-    """
-    if step_size is None:
-        top = float(np.max(np.linalg.eigvalsh(problem.hess), initial=0.0))
-        step_size = 1.0 / top if top > 1e-12 else 1.0
-    x = _interior_start(problem)
-    for _ in range(steps):
-        grad = problem.matvec(x) + problem.lin
-        nxt = project_feasible(
-            x - step_size * grad, problem.lower, problem.upper, problem.eq_target
-        )
-        if np.array_equal(nxt, x):
-            break
-        x = nxt
-    return x

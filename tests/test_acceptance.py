@@ -16,7 +16,9 @@ from wdmatch.evaluate import transfer_benefit_trial
 from wdmatch.model import HyperParams
 from wdmatch.neighborhood import solve_reconstruction
 from wdmatch.optimizer import fit, min_trace_rows, q_value, subgradients
-from wdmatch.qp import BoxEqQP, projected_gradient_oracle, solve_qp
+from wdmatch.qp import BoxEqQP, solve_qp
+
+from qp_oracle import projected_gradient_oracle
 
 
 def report(number, name, passed, detail):

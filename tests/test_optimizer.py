@@ -376,6 +376,30 @@ class TestExactBlock:
                                  rel=1e-10))
 
 
+class TestDualSolveCost:
+    """Hessian products of the hinge-dual solves on two fixed fits.
+
+    A change that makes the duals do more work, or sends the block to the
+    halving search, fails here without a timing run. The figures were
+    measured on the box-only GPCG solve (numpy 2.4.6 with OpenBLAS on x86-64,
+    Python 3.11); the earlier formulation with a slack coordinate took 859
+    and 1,734. The bound allows 10% above them.
+    """
+
+    @pytest.mark.parametrize("n, m, measured", [(200, 20, 690), (40, 60, 1542)],
+                             ids=["n>m", "m>n"])
+    def test_products_within_ten_percent(self, n, m, measured):
+        # At m > n the phi dual's Hessian K K' has full rank.
+        spec = rotated_benchmark_spec(0, samples=n, dim=m)
+        source, target, _ = synthetic_pair_with_hidden_labels(spec)
+        state = fit(source, target, HyperParams(r=3))
+        records = [e for e in state.substeps if e["step"] == "phi_psi"]
+        assert len(records) == state.iteration
+        for event in records:
+            assert event["dual_kkt"] != (None, None)
+            assert min(event["dual_products"]) > 0
+        assert sum(sum(e["dual_products"]) for e in records) <= 1.1 * measured
+
 class TestSolvePi:
     def test_constant_objective_keeps_uniform(self):
         _, source, target, graphs = small_problem(70)

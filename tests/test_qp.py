@@ -7,9 +7,9 @@ from wdmatch.errors import InfeasibleProblemError, ValidationError
 from wdmatch.neighborhood import NeighborhoodGraph
 from wdmatch.optimizer import InstanceWeightHessian
 from wdmatch.model import HingeDual
-from wdmatch.qp import (
-    BoxEqQP, project_feasible, projected_gradient_oracle, solve_box_qp, solve_qp,
-)
+from wdmatch.qp import BoxEqQP, project_feasible, solve_box_qp, solve_qp
+
+from qp_oracle import projected_gradient_oracle
 
 
 def random_problem(seed, n=6, ridge=0.3):
@@ -427,6 +427,88 @@ class TestBoxQP:
             assert sol.objective == pytest.approx(
                 0.5 * x @ hess.matvec(x) + lin @ x, rel=1e-12, abs=1e-12)
         assert sol.objective <= 0.5 * start @ hess.matvec(start) + lin @ start
+
+
+    # Box-only instances with a planted minimizer, each solved cold and from
+    # the warm starts the case names.
+
+    def test_single_free_coordinate(self):
+        hess, lin, upper, planted = planted_box_qp(610, 12, 3, free=[5])
+        start = planted.copy()
+        start[5] = 0.5 * (planted[5] + upper[5])
+        for begin in (None, start, planted):
+            check_box_solution(hess, lin, upper, planted, begin)
+
+    def test_collapsed_boxes(self):
+        # The phi dual's box is pi, zero-width where pi = 0; its warm start
+        # is the last dual clipped to pi.
+        rng = np.random.default_rng(620)
+        pi = rng.permutation(np.r_[0.0, 0.0, 0.0, 3.0, 3.0, np.full(10, 0.75)])
+        hess, lin, upper, planted = planted_box_qp(621, 15, 4, free=[2, 8], upper=pi)
+        stale = rng.uniform(0.0, 3.0, 15)
+        for begin in (None, np.minimum(stale, pi)):
+            check_box_solution(hess, lin, upper, planted, begin)
+
+    def test_warm_start_at_a_vertex(self):
+        rng = np.random.default_rng(630)
+        hess, lin, upper, planted = planted_box_qp(631, 40, 5, free=[2, 9, 30])
+        for _ in range(3):
+            vertex = np.where(rng.random(40) < 0.5, 0.0, upper)
+            check_box_solution(hess, lin, upper, planted, vertex)
+
+    def test_every_coordinate_free(self):
+        # m > n: K K' has full rank and the planted point is the only minimizer.
+        hess, lin, upper, planted = planted_box_qp(640, 10, 14, free=range(10))
+        for begin in (None, 0.25 * upper, np.zeros(10)):
+            x = check_box_solution(hess, lin, upper, planted, begin)
+            np.testing.assert_allclose(x, planted, rtol=0.0, atol=1e-8)
+
+    def test_empty_box(self):
+        # A target with no labeled rows gives its hinge dual no coordinates.
+        sol = solve_box_qp(HingeDual(np.zeros((0, 2)), np.eye(2)), [], [])
+        assert sol.x.shape == (0,) and sol.objective == 0.0
+
+
+def planted_box_qp(seed, n, m, free, upper=None):
+    """A box QP with Hessian K K' of rank min(n, m) and a planted minimizer.
+
+    The coordinates in ``free`` lie strictly inside the box; the others sit
+    at a bound, where the gradient is a multiplier of the right sign (any
+    sign on a zero-width box). ``upper`` is drawn when None. Returns
+    (hess, lin, upper, planted point).
+    """
+    rng = np.random.default_rng(seed)
+    hess = HingeDual(rng.standard_normal((n, m)), np.eye(m))
+    if upper is None:
+        upper = rng.uniform(0.5, 2.0, n)
+    free = list(free)
+    planted = np.where(rng.random(n) < 0.5, 0.0, upper)
+    planted[free] = rng.uniform(0.1, 0.9, len(free)) * upper[free]
+    mult = rng.uniform(0.1, 1.0, n) * np.where(planted == 0.0, 1.0, -1.0)
+    mult[upper == 0.0] *= rng.choice([-1.0, 1.0], int(np.sum(upper == 0.0)))
+    mult[free] = 0.0
+    return hess, mult - hess.matvec(planted), upper, planted
+
+
+def check_box_solution(hess, lin, upper, planted, start):
+    """Box KKT certificate at 1e-9 of the gradient scale, a point in the box,
+    the planted minimum and no rise above the warm start; returns x."""
+    def value(x):
+        return 0.5 * x @ hess.matvec(x) + lin @ x
+
+    sol = solve_box_qp(hess, lin, upper, start)
+    x = sol.x
+    assert np.all(x >= 0.0) and np.all(x <= upper)
+    grad = hess.matvec(x) + lin
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(grad))))
+    movable = upper > 0.0
+    assert np.all(np.abs(grad[(x > 0.0) & (x < upper)]) <= tol)
+    assert np.all(grad[(x == 0.0) & movable] >= -tol)
+    assert np.all(grad[(x == upper) & movable] <= tol)
+    assert sol.objective == pytest.approx(value(planted), rel=1e-10, abs=1e-10)
+    if start is not None:
+        assert sol.objective <= value(start)
+    return x
 
 
 class TestRelativeKKTLimit:
