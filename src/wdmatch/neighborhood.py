@@ -10,7 +10,7 @@ partition selects each row's k nearest, ordered by (distance, index), and only
 rows with a tie at the k-th distance are sorted in full, so ties always go to
 the smaller index. :func:`build_graph` solves the n small simplex QPs of a
 point set together, in one vectorised active set; :func:`solve_reconstruction`
-solves one through the general QP solver. A built graph applies ``I - W`` and
+runs the same active set on a single point. A built graph applies ``I - W`` and
 its adjoint straight from its (n, k) arrays, to vectors of values or to
 matrices of point features.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .data import DomainDataset
 from .errors import ConvergenceError, ValidationError
-from .qp import BoxEqQP, solve_qp
+from .qp import solve_qp  # noqa: F401  # unused; the benchmark tracer wraps it
 
 _GRAM_RIDGE = 1e-10
 _ROW_SUM_TOL = 1e-9
@@ -169,8 +169,9 @@ def _scaled_grams(diffs) -> np.ndarray:
 def solve_reconstruction(point, neighbors) -> np.ndarray:
     """Convex coefficients minimizing ||point - sum_k w_k neighbor_k||^2.
 
-    The simplex-constrained problem on the scaled Gram matrix of
-    :func:`_scaled_grams` is passed to the general QP solver.
+    The one-point case of :func:`build_graph`: the same active set on the
+    scaled Gram matrix of :func:`_scaled_grams`, so the weights are bitwise
+    those of the graph row whose neighbors are ``neighbors``.
     """
     x = np.asarray(point, dtype=np.float64).reshape(-1)
     nbrs = np.asarray(neighbors, dtype=np.float64)
@@ -180,17 +181,7 @@ def solve_reconstruction(point, neighbors) -> np.ndarray:
         raise ValidationError(
             f"neighbor dimension {nbrs.shape[1]} does not match point dimension {x.size}"
         )
-    k = nbrs.shape[0]
-    problem = BoxEqQP(
-        hess=2.0 * _scaled_grams(x[None, :] - nbrs),
-        lin=np.zeros(k),
-        lower=np.zeros(k),
-        upper=np.ones(k),
-        eq_target=1.0,
-    )
-    omega = solve_qp(problem).x
-    omega = np.maximum(omega, 0.0)
-    return omega / omega.sum()
+    return _simplex_weights(_scaled_grams((x - nbrs)[None]))[0]
 
 
 def _simplex_weights(gram) -> np.ndarray:
@@ -254,9 +245,8 @@ def _simplex_weights(gram) -> np.ndarray:
 def build_graph(dataset, k: int) -> NeighborhoodGraph:
     """kNN graph of :func:`build_knn` with every point's reconstruction weights.
 
-    Every point's weights solve the problem :func:`solve_reconstruction`
-    solves for one point; all are computed together by one vectorised active
-    set.
+    Every point's weights are those :func:`solve_reconstruction` returns for
+    it and its neighbors; all are computed together by :func:`_simplex_weights`.
     """
     points = _as_matrix(dataset)
     neighbors = build_knn(points, k)

@@ -50,8 +50,9 @@ class OptState:
     residuals that the update is responsible for. A ``phi_psi`` entry also
     holds the Hessian products and KKT residuals of its two dual solves
     (``dual_products``, ``dual_kkt``) and whether it ``kept`` the incoming
-    pair, as :class:`BlockStep` reports them. A ``pi`` entry records whether
-    it ``kept`` the incoming weights because the QP's answer scored higher.
+    pair, as :class:`BlockStep` reports them. ``theta`` and ``pi`` entries
+    record whether they ``kept`` the incoming (theta, w) pair or weights
+    because the new ones scored higher.
     """
 
     model: TransferModel
@@ -389,7 +390,7 @@ def fit(
     substeps = []
     duals = None
 
-    def evaluate() -> ObjectiveTerms:
+    def evaluate(theta, w, weights) -> ObjectiveTerms:
         return objective(TransferModel(theta, w, phi, psi), weights, problem)
 
     def residual_entry(iteration, terms_):
@@ -418,7 +419,7 @@ def fit(
             term_trace=tuple(term_trace),
         )
 
-    terms = evaluate()
+    terms = evaluate(theta, w, weights)
     trace = [terms.total]
     term_trace = [residual_entry(0, terms)]
     state = snapshot(0)
@@ -426,24 +427,30 @@ def fit(
         try:
             block = update_phi_psi(problem, phi, psi, theta.T @ w, weights.pi, duals)
             phi, psi, duals = block.phi, block.psi, block.duals
-            current = record(iteration, "phi_psi", trace[-1], evaluate().total,
+            terms = evaluate(theta, w, weights)
+            current = record(iteration, "phi_psi", trace[-1], terms.total,
                              dual_products=block.products, dual_kkt=block.kkt,
                              kept=block.kept)
 
             # The projection step owns its induced w re-solve: the spectral
             # problem is derived with w eliminated, so monotonicity is only
-            # guaranteed for the (theta, w) pair.
-            theta = solve_theta(problem, phi, psi, weights)
-            w = solve_w(theta, phi, psi)
-            terms = evaluate()
+            # guaranteed for the (theta, w) pair, and only up to rounding: as
+            # in the other two blocks, the incoming pair stays when the new
+            # one scores higher.
+            new_theta = solve_theta(problem, phi, psi, weights)
+            new_w = solve_w(new_theta, phi, psi)
+            theta_terms = evaluate(new_theta, new_w, weights)
+            kept = theta_terms.total > terms.total
+            if not kept:
+                theta, w, terms = new_theta, new_w, theta_terms
             current = record(iteration, "theta", current, terms.total,
-                             orthonormal_gap=orthonormal_gap(theta))
+                             orthonormal_gap=orthonormal_gap(theta), kept=kept)
 
             # The QP's warm-start guard is relative to the QP objective, which
             # is looser than the trace's bound, so as in the (phi, psi) block
             # the incoming weights stay when the new ones score higher.
             candidate = solve_pi(problem, theta, phi, weights)
-            pi_terms = objective(TransferModel(theta, w, phi, psi), candidate, problem)
+            pi_terms = evaluate(theta, w, candidate)
             kept = pi_terms.total > terms.total
             if not kept:
                 weights, terms = candidate, pi_terms

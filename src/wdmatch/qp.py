@@ -2,9 +2,9 @@
 
 Solves  minimize 0.5 x'Hx + f'x  subject to  lower <= x <= upper and, unless
 the problem is box-only, sum(x) = eq_target, with H symmetric positive
-semidefinite. H is either a dense array or a linear operator, an object whose
-``matvec(x)`` returns Hx; the solver only ever asks for products Hx, so both
-are handled alike.
+semidefinite. H is a linear operator, an object whose ``matvec(x)`` returns
+Hx: the solver only ever asks for products, and :func:`_face_product` is the
+one place that restricts them to a face of free coordinates.
 
 The method is GPCG (More & Toraldo, SIAM J. Optim. 1, 1991): projected
 gradient steps with an Armijo search change many bounds at once, and
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleProblemError, ValidationError
 
-_SYMMETRY_TOL = 1e-10
 _FEAS_TOL = 1e-12
 _KKT_LIMIT = 1e-6
 _STAT_TOL = 1e-11  # free projected gradient at the solution, times the gradient scale
@@ -40,9 +39,10 @@ _REACH = 1e3
 class BoxEqQP:
     """Problem data for one box QP instance, with or without a sum constraint.
 
-    ``hess`` is a dense symmetric array, checked here, or an object with a
-    ``matvec`` method, which the caller guarantees to be symmetric PSD.
-    ``eq_target`` is the required sum of x, or None for a box-only problem.
+    ``hess`` is an operator whose ``matvec`` method applies H, which the
+    caller guarantees to be symmetric PSD; a dense matrix is wrapped in such
+    an object. ``eq_target`` is the required sum of x, or None for a box-only
+    problem.
     """
 
     hess: object
@@ -56,15 +56,8 @@ class BoxEqQP:
         lower = np.array(self.lower, dtype=np.float64, copy=True).reshape(-1)
         upper = np.array(self.upper, dtype=np.float64, copy=True).reshape(-1)
         n = lin.size
-        hess = self.hess
-        if not hasattr(hess, "matvec"):
-            hess = np.array(hess, dtype=np.float64, copy=True)
-            if hess.shape != (n, n):
-                raise ValidationError(f"hess must be {n}x{n}, got {hess.shape}")
-            if np.max(np.abs(hess - hess.T), initial=0.0) > _SYMMETRY_TOL:
-                raise ValidationError("hess is not symmetric within 1e-10")
-            hess = 0.5 * (hess + hess.T)
-            hess.flags.writeable = False
+        if not hasattr(self.hess, "matvec"):
+            raise ValidationError("hess must be an operator with a matvec method")
         if lower.size != n or upper.size != n:
             raise ValidationError("bound vectors must match the problem size")
         if np.any(lower > upper):
@@ -79,7 +72,6 @@ class BoxEqQP:
             object.__setattr__(self, "eq_target", target)
         for arr in (lin, lower, upper):
             arr.flags.writeable = False
-        object.__setattr__(self, "hess", hess)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -89,22 +81,13 @@ class BoxEqQP:
         return self.lin.size
 
     @property
-    def dense(self) -> bool:
-        return isinstance(self.hess, np.ndarray)
-
-    @property
     def equalities(self) -> int:
         """The number of sum constraints: 1, or 0 for a box-only problem."""
         return int(self.eq_target is not None)
 
-    @property
-    def matvec(self):
-        """The Hessian product x -> Hx, dispatched once per access."""
-        return self.hess.__matmul__ if self.dense else self.hess.matvec
-
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64)
-        return float(0.5 * x @ self.matvec(x) + self.lin @ x)
+        return float(0.5 * x @ self.hess.matvec(x) + self.lin @ x)
 
 
 @dataclass(frozen=True)
@@ -223,20 +206,17 @@ def _multiplier(problem, grad, at_lo, at_up) -> float:
 
 def _stationarity_residual(problem, x, at_lo, at_up):
     """KKT residual of x for the working-set partition (absolute scale)."""
-    grad = problem.matvec(x) + problem.lin
+    grad = problem.hess.matvec(x) + problem.lin
     pinned = at_lo & at_up
     free = ~(at_lo | at_up)
     lam = _multiplier(problem, grad, at_lo, at_up)
-    residual = 0.0
-    if free.any():
-        residual = float(np.max(np.abs(grad[free] - lam)))
-    lo_mult = grad[at_lo & ~pinned] - lam
-    if lo_mult.size:
-        residual = max(residual, float(np.max(np.maximum(0.0, -lo_mult))))
-    up_mult = grad[at_up & ~pinned] - lam
-    if up_mult.size:
-        residual = max(residual, float(np.max(np.maximum(0.0, up_mult))))
-    return max(residual, _sum_gap(problem, x)), lam, grad
+    residual = max(
+        float(np.max(np.abs(grad[free] - lam), initial=0.0)),
+        float(np.max(lam - grad[at_lo & ~pinned], initial=0.0)),
+        float(np.max(grad[at_up & ~pinned] - lam, initial=0.0)),
+        _sum_gap(problem, x),
+    )
+    return residual, lam, grad
 
 
 def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
@@ -258,10 +238,7 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
         x = np.array(start, dtype=np.float64, copy=True).reshape(-1)
         if x.size != n:
             raise ValidationError("start point has the wrong length")
-        bound_gap = max(
-            np.max(np.maximum(lower - x, 0.0), initial=0.0),
-            np.max(np.maximum(x - upper, 0.0), initial=0.0),
-        )
+        bound_gap = np.max(np.maximum(lower - x, x - upper), initial=0.0)
         sum_gap = _sum_gap(problem, x)
         if bound_gap > 1e-8 or sum_gap > 1e-6 * max(1, n):
             raise ValidationError("start point is not feasible")
@@ -379,7 +356,7 @@ def _gradient_projection(problem, x, grad):
         top = float(np.max(np.abs(descent)))
         if top == 0.0:
             break
-        curvature = float(descent @ problem.matvec(descent))
+        curvature = float(descent @ problem.hess.matvec(descent))
         steps += 1
         alpha = _REACH * width / top
         if curvature > 0.0:
@@ -396,7 +373,7 @@ def _gradient_projection(problem, x, grad):
                 break
             slope = float(shifted @ step)
             if slope < 0.0:
-                h_step = problem.matvec(step)
+                h_step = problem.hess.matvec(step)
                 steps += 1
                 gain = -(slope + 0.5 * float(step @ h_step))
                 if gain >= -_ARMIJO * slope:
@@ -413,6 +390,19 @@ def _gradient_projection(problem, x, grad):
         if settled or gain <= _PROGRESS * best:
             break
     return x, grad, steps, not np.array_equal(start, _binding(x, lower, upper))
+
+
+def _face_product(problem, free):
+    """d -> (H d')[free] on the face of the indices ``free``, with d' equal to d
+    there and 0 elsewhere: the product itself on a face of every coordinate."""
+    if free.size == problem.n:
+        return problem.hess.matvec
+    full = np.zeros(problem.n)
+
+    def face_matvec(d):
+        full[free] = d
+        return problem.hess.matvec(full)[free]
+    return face_matvec
 
 
 def _face_cg(problem, x, grad, tol, early_stop):
@@ -437,15 +427,7 @@ def _face_cg(problem, x, grad, tol, early_stop):
     resid = _centre(problem, face_grad) - face_grad
     direction = resid.copy()
     rr = float(resid @ resid)
-    matvec = problem.matvec
-    if free.size < problem.n:
-        full = np.zeros(problem.n)
-
-        def face_matvec(d):
-            full[free] = d
-            return matvec(full)[free]
-    else:
-        face_matvec = matvec
+    face_matvec = _face_product(problem, free)
     steps, best = 0, 0.0
     while rr > tol * tol and steps < 2 * free.size + 10:
         h_dir = face_matvec(direction)
@@ -497,16 +479,16 @@ def _bound_step(problem, x, free, direction, alpha, alpha_max, blocker):
     """
     xf, lo, up = x[free], problem.lower[free], problem.upper[free]
     total = xf.sum() if problem.equalities else None
-    grad = (problem.matvec(x) + problem.lin)[free]
-    full = np.zeros(problem.n)
+    grad = (problem.hess.matvec(x) + problem.lin)[free]
+    face_matvec = _face_product(problem, free)
     products = 1
 
     def score(candidate):
         nonlocal products
-        full[free] = step = candidate - xf
+        step = candidate - xf
         products += 1
         slope = float(grad @ step)
-        return slope, -(slope + 0.5 * float(step @ problem.matvec(full)[free]))
+        return slope, -(slope + 0.5 * float(step @ face_matvec(step)))
 
     reach = _REACH * float(np.max(up - lo)) / float(np.max(np.abs(direction)))
     beta = min(alpha, reach)

@@ -18,7 +18,7 @@ from wdmatch.neighborhood import solve_reconstruction
 from wdmatch.optimizer import fit, min_trace_rows, q_value, subgradients
 from wdmatch.qp import BoxEqQP, solve_qp
 
-from qp_oracle import projected_gradient_oracle
+from qp_oracle import MatrixOperator, projected_gradient_oracle
 
 
 def report(number, name, passed, detail):
@@ -121,7 +121,7 @@ def test_criterion_3_qp_oracle_equivalence():
         lower = rng.uniform(-1.0, 0.0, n)
         upper = lower + rng.uniform(0.5, 2.0, n)
         problem = BoxEqQP(
-            hess, rng.standard_normal(n), lower, upper,
+            MatrixOperator(hess), rng.standard_normal(n), lower, upper,
             float(rng.uniform(lower.sum(), upper.sum())),
         )
         sol = solve_qp(problem)

@@ -5,10 +5,14 @@ from wdmatch import neighborhood
 from wdmatch.errors import ValidationError
 from wdmatch.neighborhood import (
     NeighborhoodGraph,
+    _scaled_grams,
     build_graph,
     build_knn,
     solve_reconstruction,
 )
+from wdmatch.qp import BoxEqQP, solve_qp
+
+from qp_oracle import MatrixOperator
 
 
 def reconstruction_objective(point, neighbors, omega):
@@ -156,11 +160,22 @@ class TestSolveReconstruction:
         )
 
 
+def gpcg_reconstruction(point, neighbors):
+    """Reconstruction weights by a second method: GPCG on the same scaled Gram
+    matrix, its answer clipped at 0 and renormalised to sum to 1."""
+    gram = _scaled_grams((np.asarray(point) - np.asarray(neighbors))[None])[0]
+    k = gram.shape[0]
+    problem = BoxEqQP(MatrixOperator(2.0 * gram), np.zeros(k), np.zeros(k),
+                      np.ones(k), 1.0)
+    omega = np.maximum(solve_qp(problem).x, 0.0)
+    return omega / omega.sum()
+
+
 def graph_and_reference(points, k):
-    """build_graph's graph and, per point, solve_reconstruction's weights."""
+    """build_graph's graph and, per point, the GPCG reference weights."""
     graph = build_graph(points, k)
     reference = np.array([
-        solve_reconstruction(points[i], points[graph.neighbors[i]])
+        gpcg_reconstruction(points[i], points[graph.neighbors[i]])
         for i in range(points.shape[0])
     ])
     return graph, reference
@@ -234,6 +249,33 @@ class TestBuildGraph:
             for j in np.unique(groups):
                 assert abs(graph.weights[i][groups == j].sum()
                            - reference[i][groups == j].sum()) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["k<m", "k>m", "k=n-1", "duplicated",
+                                      "coincident", "rounded"])
+    def test_rows_are_solve_reconstruction(self, case):
+        # One point's solve is bitwise its graph row, wherever the ridge or a
+        # zero Gram matrix decides the weights.
+        rng = np.random.default_rng(40)
+        if case == "k<m":
+            points, k = rng.standard_normal((60, 6)), 4
+        elif case == "k>m":
+            points, k = rng.standard_normal((60, 3)), 8
+        elif case == "k=n-1":
+            points, k = rng.standard_normal((15, 4)), 14
+        elif case == "duplicated":
+            points, k = np.vstack([rng.standard_normal((30, 4))] * 2), 5
+        elif case == "coincident":
+            points = np.vstack([np.tile(rng.standard_normal(3), (4, 1)),
+                                rng.standard_normal((20, 3))])
+            k = 6
+        else:
+            points, k = np.round(rng.standard_normal((80, 2)), 1), 7
+        graph = build_graph(points, k)
+        for i in range(points.shape[0]):
+            np.testing.assert_array_equal(
+                solve_reconstruction(points[i], points[graph.neighbors[i]]),
+                graph.weights[i],
+            )
 
     def test_collinear_midpoint(self):
         graph = build_graph(np.array([[0.0], [1.0], [2.0]]), 2)

@@ -20,6 +20,7 @@ from wdmatch.model import (
 )
 from wdmatch import optimizer
 from wdmatch.neighborhood import NeighborhoodGraph, build_graph
+from wdmatch.qp import solve_qp
 from wdmatch.optimizer import (
     InstanceWeightHessian,
     fit,
@@ -400,6 +401,34 @@ class TestDualSolveCost:
             assert min(event["dual_products"]) > 0
         assert sum(sum(e["dual_products"]) for e in records) <= 1.1 * measured
 
+
+class TestPiSolveCost:
+    """Hessian products of the instance-weight QP solves on two fixed fits.
+
+    Every call of ``optimizer.solve_qp`` is a pi solve (the hinge duals go
+    through ``solve_box_qp``). The figures are the products the solutions
+    report, measured as for :class:`TestDualSolveCost`; the bound allows 10%
+    above them.
+    """
+
+    @pytest.mark.parametrize("c1, measured", [(1.0, 967), (0.0, 396)],
+                             ids=["n>m", "c1=0"])
+    def test_products_within_ten_percent(self, monkeypatch, c1, measured):
+        products = []
+
+        def counted(*args, **kwargs):
+            solution = solve_qp(*args, **kwargs)
+            products.append(solution.iterations)
+            return solution
+
+        monkeypatch.setattr(optimizer, "solve_qp", counted)
+        spec = rotated_benchmark_spec(0, samples=200, dim=20)
+        source, target, _ = synthetic_pair_with_hidden_labels(spec)
+        state = fit(source, target, HyperParams(r=3, c1=c1))
+        assert len(products) == state.iteration
+        assert min(products) > 0
+        assert sum(products) <= 1.1 * measured
+
 class TestSolvePi:
     def test_constant_objective_keeps_uniform(self):
         _, source, target, graphs = small_problem(70)
@@ -700,6 +729,20 @@ class TestFit:
         records = [e for e in state.substeps if e["step"] == "pi"]
         assert all(e["kept"] and e["after"] == e["before"] for e in records)
         np.testing.assert_array_equal(state.weights.pi, np.ones(source.n))
+
+    def test_theta_step_that_raises_the_objective_is_not_taken(self):
+        # At 1e4 times the feature scale, rounding scores this draw's
+        # iteration-2 theta step 4.6e-8 above its incoming pair; taking it
+        # broke the monotone trace.
+        spec = rotated_benchmark_spec(1, samples=120, dim=6)
+        source, target, _ = synthetic_pair_with_hidden_labels(spec)
+        source = DomainDataset(1e4 * source.features, source.labels)
+        target = DomainDataset(1e4 * target.features, target.labels)
+        state = fit(source, target, HyperParams(r=3, c2=100.0, c3=100.0))
+        records = [e for e in state.substeps if e["step"] == "theta"]
+        assert [e["kept"] for e in records] == [False, True]
+        assert records[1]["after"] == records[1]["before"]
+        assert all(np.diff(state.objective_trace) <= 0.0)
 
     def test_tolerance_stops_early(self):
         _, source, target, *_ = small_problem(92)

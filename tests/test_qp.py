@@ -9,7 +9,10 @@ from wdmatch.optimizer import InstanceWeightHessian
 from wdmatch.model import HingeDual
 from wdmatch.qp import BoxEqQP, project_feasible, solve_box_qp, solve_qp
 
-from qp_oracle import projected_gradient_oracle
+from qp_oracle import MatrixOperator, projected_gradient_oracle
+
+
+EYE2 = MatrixOperator(np.eye(2))
 
 
 def random_problem(seed, n=6, ridge=0.3):
@@ -20,39 +23,38 @@ def random_problem(seed, n=6, ridge=0.3):
     lower = rng.uniform(-1.0, 0.0, n)
     upper = lower + rng.uniform(0.5, 2.0, n)
     target = float(rng.uniform(lower.sum(), upper.sum()))
-    return BoxEqQP(hess, lin, lower, upper, target)
+    return BoxEqQP(MatrixOperator(hess), lin, lower, upper, target)
 
 
 class TestProblemValidation:
-    def test_asymmetric_hessian_rejected(self):
-        h = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValidationError):
-            BoxEqQP(h, [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], 1.0)
+    def test_array_hessian_rejected(self):
+        with pytest.raises(ValidationError, match="matvec"):
+            BoxEqQP(np.eye(2), [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], 1.0)
 
     def test_crossed_bounds_rejected(self):
         with pytest.raises(ValidationError):
-            BoxEqQP(np.eye(2), [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], 1.0)
+            BoxEqQP(EYE2, [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], 1.0)
 
     def test_unreachable_sum_rejected(self):
         with pytest.raises(InfeasibleProblemError):
-            BoxEqQP(np.eye(2), [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], 3.0)
+            BoxEqQP(EYE2, [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], 3.0)
 
     def test_infeasible_start_rejected(self):
-        problem = BoxEqQP(np.eye(2), [0.0, 0.0], [0.0, 0.0], [2.0, 2.0], 2.0)
+        problem = BoxEqQP(EYE2, [0.0, 0.0], [0.0, 0.0], [2.0, 2.0], 2.0)
         with pytest.raises(ValidationError):
             solve_qp(problem, start=np.array([2.0, 2.0]))
 
 
 class TestKnownSolutions:
     def test_minimum_norm_point(self):
-        problem = BoxEqQP(np.eye(2), np.zeros(2), [0.0, 0.0], [2.0, 2.0], 2.0)
+        problem = BoxEqQP(EYE2, np.zeros(2), [0.0, 0.0], [2.0, 2.0], 2.0)
         sol = solve_qp(problem)
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-10)
         assert sol.objective == pytest.approx(1.0, abs=1e-10)
 
     def test_linear_tilt(self):
         # Substituting x2 = 2 - x1 gives x1^2 - 3 x1 + 2, minimized at x1 = 1.5.
-        problem = BoxEqQP(np.eye(2), [-1.0, 0.0], [0.0, 0.0], [2.0, 2.0], 2.0)
+        problem = BoxEqQP(EYE2, [-1.0, 0.0], [0.0, 0.0], [2.0, 2.0], 2.0)
         sol = solve_qp(problem)
         np.testing.assert_allclose(sol.x, [1.5, 0.5], atol=1e-9)
         oracle = projected_gradient_oracle(problem, steps=4000)
@@ -61,7 +63,9 @@ class TestKnownSolutions:
     def test_degenerate_box_pins_solution(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((2, 2))
-        problem = BoxEqQP(a.T @ a, rng.standard_normal(2), [1.0, 1.0], [1.0, 1.0], 2.0)
+        problem = BoxEqQP(
+            MatrixOperator(a.T @ a), rng.standard_normal(2), [1.0, 1.0], [1.0, 1.0], 2.0
+        )
         np.testing.assert_array_equal(solve_qp(problem).x, [1.0, 1.0])
 
     def test_lp_mass_concentrates_greedily(self):
@@ -70,7 +74,9 @@ class TestKnownSolutions:
         rng = np.random.default_rng(17)
         n, delta = 7, 2.5
         lin = rng.random(n)
-        problem = BoxEqQP(np.zeros((n, n)), lin, np.zeros(n), np.full(n, delta), float(n))
+        problem = BoxEqQP(
+            MatrixOperator(np.zeros((n, n))), lin, np.zeros(n), np.full(n, delta), float(n)
+        )
         sol = solve_qp(problem)
         greedy = np.zeros(n)
         mass = float(n)
@@ -83,7 +89,10 @@ class TestKnownSolutions:
 
     def test_constant_objective_keeps_uniform_start(self):
         n = 5
-        problem = BoxEqQP(np.zeros((n, n)), np.ones(n), np.zeros(n), np.full(n, 3.0), float(n))
+        problem = BoxEqQP(
+            MatrixOperator(np.zeros((n, n))), np.ones(n), np.zeros(n), np.full(n, 3.0),
+            float(n),
+        )
         sol = solve_qp(problem, start=np.ones(n))
         np.testing.assert_array_equal(sol.x, np.ones(n))
 
@@ -108,7 +117,7 @@ class TestOracleAgreement:
             n = 5
             v = rng.standard_normal(n)
             problem = BoxEqQP(
-                np.outer(v, v), rng.standard_normal(n), np.zeros(n),
+                MatrixOperator(np.outer(v, v)), rng.standard_normal(n), np.zeros(n),
                 np.ones(n), float(rng.uniform(0.5, n - 0.5)),
             )
             sol = solve_qp(problem)
@@ -117,7 +126,7 @@ class TestOracleAgreement:
 
     def test_zero_gradient_start_is_fixed_point(self):
         # The oracle starts at [1, 1]; the gradient vanishes there.
-        problem = BoxEqQP(np.eye(2), [-1.0, -1.0], [0.0, 0.0], [2.0, 2.0], 2.0)
+        problem = BoxEqQP(EYE2, [-1.0, -1.0], [0.0, 0.0], [2.0, 2.0], 2.0)
         np.testing.assert_array_equal(
             projected_gradient_oracle(problem, steps=50), [1.0, 1.0]
         )
@@ -137,7 +146,7 @@ class TestSolutionCertificates:
         for seed in range(30):
             problem = random_problem(seed, n=6)
             sol = solve_qp(problem)
-            grad = problem.hess @ sol.x + problem.lin
+            grad = problem.hess.matvec(sol.x) + problem.lin
             interior = (sol.x > problem.lower + 1e-7) & (sol.x < problem.upper - 1e-7)
             if interior.sum() >= 2:
                 lam = grad[interior].mean()
@@ -240,7 +249,8 @@ def pi_shaped(seed, n, delta, c2, c3, k=5, m=6, r=3):
     """An instance-weight QP on a random graph, as an operator and as dense H.
 
     Returns (operator problem, dense problem). The dense Hessian
-    2 c2 (I - W)'(I - W) + U U' is built here only, as the reference.
+    2 c2 (I - W)'(I - W) + U U' is built here only, as the reference, and
+    given to the solver as a :class:`MatrixOperator`.
     """
     rng = np.random.default_rng(seed)
     k = min(k, n - 1)
@@ -261,13 +271,13 @@ def pi_shaped(seed, n, delta, c2, c3, k=5, m=6, r=3):
     bounds = (np.zeros(n), np.full(n, delta), float(n))
     return (
         BoxEqQP(InstanceWeightHessian(graph, c2, basis), lin, *bounds),
-        BoxEqQP(dense, lin, *bounds),
+        BoxEqQP(MatrixOperator(dense), lin, *bounds),
     )
 
 
 def certificate_holds(problem, x):
     """Free projected gradient within 1e-11 and multipliers within 1e-10 of scale."""
-    grad = problem.hess @ x + problem.lin
+    grad = problem.hess.matvec(x) + problem.lin
     scale = max(1.0, float(np.max(np.abs(grad))))
     at_lo, at_up = x <= problem.lower, x >= problem.upper
     free = ~(at_lo | at_up)
@@ -286,23 +296,13 @@ def frank_wolfe_gap(problem, x):
     The minimizing y is the greedy fill of the box-plus-sum set: the cheapest
     coordinates first, each up to its upper bound (lower bounds are zero).
     """
-    grad = problem.hess @ x + problem.lin
+    grad = problem.hess.matvec(x) + problem.lin
     fill = np.zeros(problem.n)
     mass = problem.eq_target
     for i in np.argsort(grad):
         fill[i] = min(problem.upper[i], mass)
         mass -= fill[i]
     return float(grad @ (x - fill))
-
-
-class MatrixOperator:
-    """A dense matrix seen only through its products."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-
-    def matvec(self, x):
-        return self.matrix @ x
 
 
 # Difference Gram matrices met while reconstructing points, on which GPCG
@@ -385,11 +385,12 @@ class TestGPCG:
     )
     def test_simplex_vertices(self, gram):
         k = gram.shape[0]
-        bounds = (np.zeros(k), np.zeros(k), np.ones(k), 1.0)
-        dense = BoxEqQP(2.0 * gram, *bounds)
-        sol = solve_qp(BoxEqQP(MatrixOperator(2.0 * gram), *bounds))
-        assert certificate_holds(dense, sol.x)
-        assert frank_wolfe_gap(dense, sol.x) <= 1e-12
+        problem = BoxEqQP(
+            MatrixOperator(2.0 * gram), np.zeros(k), np.zeros(k), np.ones(k), 1.0
+        )
+        sol = solve_qp(problem)
+        assert certificate_holds(problem, sol.x)
+        assert frank_wolfe_gap(problem, sol.x) <= 1e-12
         assert sol.kkt_residual <= 1e-11
 
 
@@ -526,7 +527,9 @@ class TestRelativeKKTLimit:
             operator, dense = pi_shaped(200 + seed, n, delta, c2, c3)
             unscaled = solve_qp(operator).x
             bounds = (operator.lower, operator.upper, operator.eq_target)
-            scaled_dense = BoxEqQP(factor * dense.hess, factor * dense.lin, *bounds)
+            scaled_dense = BoxEqQP(
+                MatrixOperator(factor * dense.hess.matrix), factor * dense.lin, *bounds
+            )
             if form == "dense":
                 problem = scaled_dense
             else:
