@@ -93,9 +93,18 @@ class TransferModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TransferModel":
-        r, m = int(payload["r"]), int(payload["m"])
-        theta = np.asarray(payload["theta"], dtype=np.float64).reshape(r, m)
-        return cls(theta, payload["w"], payload["phi"], payload["psi"])
+        """The model of a :meth:`to_json_dict` payload; a malformed one raises
+        :class:`ValidationError`."""
+        try:
+            r, m = int(payload["r"]), int(payload["m"])
+            theta, w, phi, psi = (np.asarray(payload[key], dtype=np.float64)
+                                  for key in ("theta", "w", "phi", "psi"))
+            theta = theta.reshape(r, m)
+        except KeyError as exc:
+            raise ValidationError(f"model is missing {exc.args[0]}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed model: {exc}") from None
+        return cls(theta, w, phi, psi)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,16 @@ hinge duals (by subgradient descent at c1 = 0, where the block is not strongly
 convex), the spectral update of the projection rows together with the
 closed-form shared classifier w it induces, and finally the instance-weight QP.
 Every block reads the fit's fixed data from one
-:class:`~wdmatch.model.Problem`. Every block update is a descent step, so the
-recorded objective trace never increases.
+:class:`~wdmatch.model.Problem` and proposes a candidate; :func:`fit` alone
+decides whether to take it. It scores each candidate by the objective total
+and keeps the incumbent exactly when the candidate's total is strictly higher,
+so the recorded objective trace never increases, not even by rounding.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from .errors import ConvergenceError, ValidationError
 from .model import (
     HingeDual,
     HyperParams,
-    ObjectiveTerms,
     Problem,
     SourceWeights,
     TransferModel,
@@ -49,10 +50,9 @@ class OptState:
     ``theta`` with its w re-solve, ``pi``), together with the constraint
     residuals that the update is responsible for. A ``phi_psi`` entry also
     holds the Hessian products and KKT residuals of its two dual solves
-    (``dual_products``, ``dual_kkt``) and whether it ``kept`` the incoming
-    pair, as :class:`BlockStep` reports them. ``theta`` and ``pi`` entries
-    record whether they ``kept`` the incoming (theta, w) pair or weights
-    because the new ones scored higher.
+    (``dual_products``, ``dual_kkt``), as :class:`BlockStep` reports them.
+    Every entry records whether it ``kept`` the incumbent because the block's
+    candidate scored strictly higher. The trace may not rise at all.
     """
 
     model: TransferModel
@@ -66,9 +66,8 @@ class OptState:
         trace = tuple(float(v) for v in self.objective_trace)
         if not trace:
             raise ValidationError("objective trace may not be empty")
-        diffs = np.diff(np.asarray(trace))
-        if diffs.size and float(diffs.max()) > 1e-8:
-            raise ValidationError("objective trace increased beyond tolerance")
+        if np.any(np.diff(trace) > 0.0):
+            raise ValidationError("objective trace increased")
         object.__setattr__(self, "objective_trace", trace)
         object.__setattr__(self, "substeps", tuple(self.substeps))
         object.__setattr__(self, "term_trace", tuple(self.term_trace))
@@ -212,14 +211,13 @@ def subgradients(problem: Problem, phi, psi, shared, pi):
 
 @dataclass(frozen=True)
 class BlockStep:
-    """The result of one (phi, psi) block update.
+    """The candidate (phi, psi) of one block update.
 
     ``duals`` holds the dual solutions (alpha, beta) that warm-start the next
-    block, ``products`` and ``kkt`` the Hessian products and KKT residuals of
-    their two solves, and ``kept`` whether the block left the incoming pair in
-    place. Where the halving search ran instead (see :func:`update_phi_psi`)
-    there are no duals: ``duals`` is None, ``products`` is (0, 0) and ``kkt``
-    is (None, None).
+    block, and ``products`` and ``kkt`` the Hessian products and KKT residuals
+    of their two solves. Where the halving search ran instead (see
+    :func:`update_phi_psi`) there are no duals: ``duals`` is None,
+    ``products`` is (0, 0) and ``kkt`` is (None, None).
     """
 
     phi: np.ndarray
@@ -227,7 +225,6 @@ class BlockStep:
     duals: tuple | None
     products: tuple
     kkt: tuple
-    kept: bool
 
 
 def _solve_hinge_dual(dual: HingeDual, shift, upper, start):
@@ -238,22 +235,15 @@ def _solve_hinge_dual(dual: HingeDual, shift, upper, start):
     return dual.factor @ (lifted + dual.rows.T @ solution.x), solution
 
 
-def _exact_block(problem: Problem, phi, psi, shared, pi, duals) -> BlockStep:
-    """The block minimum from both hinge duals, or the incoming pair when that
-    is not lower; see :func:`update_phi_psi`."""
+def _exact_block(problem: Problem, shared, pi, duals) -> BlockStep:
+    """The block minimum from both hinge duals; see :func:`update_phi_psi`."""
     shift = problem.hp.c1 * np.asarray(shared, dtype=np.float64)
     alpha, beta = (None, None) if duals is None else (np.minimum(duals[0], pi), duals[1])
-    new_phi, alpha = _solve_hinge_dual(problem.source_dual, shift, pi, alpha)
+    phi, alpha = _solve_hinge_dual(problem.source_dual, shift, pi, alpha)
     upper = np.ones(problem.target.labeled_count)
-    new_psi, beta = _solve_hinge_dual(problem.target_dual, shift, upper, beta)
-    kept = not (q_value(problem, new_phi, new_psi, shared, pi)
-                < q_value(problem, phi, psi, shared, pi))
-    if not kept:
-        phi, psi = new_phi, new_psi
-    return BlockStep(
-        phi, psi, (alpha.x, beta.x), (alpha.iterations, beta.iterations),
-        (alpha.kkt_residual, beta.kkt_residual), kept,
-    )
+    psi, beta = _solve_hinge_dual(problem.target_dual, shift, upper, beta)
+    return BlockStep(phi, psi, (alpha.x, beta.x), (alpha.iterations, beta.iterations),
+                     (alpha.kkt_residual, beta.kkt_residual))
 
 
 def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockStep:
@@ -267,32 +257,29 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
     H = c1 I + 2 c2 R'R. Here s = ``shared``. Both duals are box-only QPs,
     solved by GPCG through :func:`~wdmatch.qp.solve_box_qp` and warm-started
     from ``duals`` (alpha clipped to ``pi``, which leaves a zero-width box
-    where pi is 0). The incoming pair is kept when the new one does not
-    have a lower :func:`q_value`, so rounding cannot raise the objective.
+    where pi is 0).
 
     At c1 = 0 the block is not strongly convex, and it runs
-    :func:`halving_descent` on :func:`subgradients` with ``hp.subgrad_iters``
-    steps from ``hp.rho``. So it does when a dual solve cannot be certified:
-    with c1 below about 1e-10 of the squared feature scale, rounding in the
-    dual gradient exceeds the KKT limit.
+    :func:`halving_descent` on :func:`subgradients` from (``phi``, ``psi``)
+    with ``hp.subgrad_iters`` steps from ``hp.rho``. So it does when a dual
+    solve cannot be certified: with c1 below about 1e-10 of the squared
+    feature scale, rounding in the dual gradient exceeds the KKT limit.
+
+    Either way the result is a candidate, returned unguarded: :func:`fit`
+    decides whether to take it.
     """
-    phi = np.array(phi, dtype=np.float64, copy=True)
-    psi = np.array(psi, dtype=np.float64, copy=True)
     if problem.source_dual is not None:
         try:
-            return _exact_block(problem, phi, psi, shared, pi, duals)
+            return _exact_block(problem, shared, pi, duals)
         except ConvergenceError as exc:
             logger.debug("hinge duals not certified (%s); halving search instead", exc)
-    hp = problem.hp
-    new_phi, new_psi = halving_descent(
+    phi, psi = halving_descent(
         lambda p: q_value(problem, *p, shared, pi),
         lambda p: subgradients(problem, *p, shared, pi),
-        (phi, psi),
-        hp.subgrad_iters,
-        hp.rho,
+        (np.asarray(phi, dtype=np.float64), np.asarray(psi, dtype=np.float64)),
+        problem.hp.subgrad_iters, problem.hp.rho,
     )
-    kept = np.array_equal(new_phi, phi) and np.array_equal(new_psi, psi)
-    return BlockStep(new_phi, new_psi, None, (0, 0), (None, None), kept)
+    return BlockStep(phi, psi, None, (0, 0), (None, None))
 
 
 @dataclass(frozen=True)
@@ -360,111 +347,84 @@ def fit(
 ) -> OptState:
     """Train the transfer model by alternating block minimization.
 
-    The loop stops after ``hp.outer_iters`` iterations or once the relative
-    objective change drops below ``hp.tol``. The procedure is deterministic.
-    A solver or validation failure inside an iteration is raised as a
-    :class:`ConvergenceError` whose ``state`` is the snapshot taken at the
-    end of the last complete iteration; any other exception is a bug and
-    propagates unchanged.
+    Each block proposes a candidate, scored by :func:`objective`; the
+    incumbent stays exactly when the candidate's total is strictly higher,
+    so the objective trace never rises. The loop stops after
+    ``hp.outer_iters`` iterations or once the relative objective change drops
+    below ``hp.tol``. The procedure is deterministic. A solver or validation
+    failure inside an iteration is raised as a :class:`ConvergenceError`
+    whose ``state`` is the snapshot taken at the end of the last complete
+    iteration; any other exception is a bug and propagates unchanged.
     """
     hp = HyperParams() if hp is None else hp
     if not isinstance(source, DomainDataset) or not isinstance(target, DomainDataset):
         raise ValidationError("fit expects DomainDataset inputs")
-    smallest = min(source.n, target.n)
-    if hp.k > smallest - 1:
+    if hp.k > min(source.n, target.n) - 1:
         raise ValidationError(
             f"k={hp.k} needs at least {hp.k + 1} points in each domain"
         )
-    m = source.dim
-    r = hp.resolved_r(m)
 
     problem = Problem(
         source, target, hp, build_graph(source, hp.k), build_graph(target, hp.k)
     )
 
-    theta = initial_theta(source, target, r)
-    phi = np.zeros(m)
-    psi = np.zeros(m)
-    w = solve_w(theta, phi, psi)
+    zeros = np.zeros(source.dim)
+    theta = initial_theta(source, target, hp.resolved_r(source.dim))
+    model = TransferModel(theta, solve_w(theta, zeros, zeros), zeros, zeros)
     weights = SourceWeights.uniform(source.n, hp.delta)
-    substeps = []
+    terms = objective(model, weights, problem)
+    trace, term_trace, substeps = [], [], []
     duals = None
 
-    def evaluate(theta, w, weights) -> ObjectiveTerms:
-        return objective(TransferModel(theta, w, phi, psi), weights, problem)
-
-    def residual_entry(iteration, terms_):
-        return {
-            "iteration": iteration,
-            **terms_.as_dict(),
-            "orthonormal_gap": orthonormal_gap(theta),
-            "pi_bound_gap": weights.bound_gap,
-            "pi_sum_gap": weights.sum_gap,
-        }
-
-    def record(iteration, step, before, after, **extra):
-        substeps.append(
-            {"iteration": iteration, "step": step, "before": before,
-             "after": after, **extra}
-        )
-        return after
+    def step(iteration, name, candidate, candidate_weights, **extra):
+        """Take the candidate unless it scores strictly higher, then record."""
+        nonlocal model, weights, terms
+        before = terms.total
+        scored = objective(candidate, candidate_weights, problem)
+        kept = scored.total > before
+        if not kept:
+            model, weights, terms = candidate, candidate_weights, scored
+        if name == "theta":
+            extra["orthonormal_gap"] = orthonormal_gap(model.theta)
+        elif name == "pi":
+            extra.update(bound_gap=weights.bound_gap, sum_gap=weights.sum_gap)
+        substeps.append({"iteration": iteration, "step": name, "before": before,
+                         "after": terms.total, **extra, "kept": kept})
 
     def snapshot(iteration) -> OptState:
-        return OptState(
-            model=TransferModel(theta, w, phi, psi),
-            weights=weights,
-            objective_trace=tuple(trace),
-            iteration=iteration,
-            substeps=tuple(substeps),
-            term_trace=tuple(term_trace),
-        )
+        trace.append(terms.total)
+        term_trace.append({
+            "iteration": iteration,
+            **terms.as_dict(),
+            "orthonormal_gap": orthonormal_gap(model.theta),
+            "pi_bound_gap": weights.bound_gap,
+            "pi_sum_gap": weights.sum_gap,
+        })
+        return OptState(model, weights, tuple(trace), iteration,
+                        tuple(substeps), tuple(term_trace))
 
-    terms = evaluate(theta, w, weights)
-    trace = [terms.total]
-    term_trace = [residual_entry(0, terms)]
     state = snapshot(0)
     for iteration in range(1, hp.outer_iters + 1):
         try:
-            block = update_phi_psi(problem, phi, psi, theta.T @ w, weights.pi, duals)
-            phi, psi, duals = block.phi, block.psi, block.duals
-            terms = evaluate(theta, w, weights)
-            current = record(iteration, "phi_psi", trace[-1], terms.total,
-                             dual_products=block.products, dual_kkt=block.kkt,
-                             kept=block.kept)
+            block = update_phi_psi(problem, model.phi, model.psi,
+                                   model.theta.T @ model.w, weights.pi, duals)
+            duals = block.duals
+            step(iteration, "phi_psi", replace(model, phi=block.phi, psi=block.psi),
+                 weights, dual_products=block.products, dual_kkt=block.kkt)
 
             # The projection step owns its induced w re-solve: the spectral
-            # problem is derived with w eliminated, so monotonicity is only
-            # guaranteed for the (theta, w) pair, and only up to rounding: as
-            # in the other two blocks, the incoming pair stays when the new
-            # one scores higher.
-            new_theta = solve_theta(problem, phi, psi, weights)
-            new_w = solve_w(new_theta, phi, psi)
-            theta_terms = evaluate(new_theta, new_w, weights)
-            kept = theta_terms.total > terms.total
-            if not kept:
-                theta, w, terms = new_theta, new_w, theta_terms
-            current = record(iteration, "theta", current, terms.total,
-                             orthonormal_gap=orthonormal_gap(theta), kept=kept)
+            # problem eliminates w, so only the (theta, w) pair descends.
+            theta = solve_theta(problem, model.phi, model.psi, weights)
+            w = solve_w(theta, model.phi, model.psi)
+            step(iteration, "theta", replace(model, theta=theta, w=w), weights)
 
-            # The QP's warm-start guard is relative to the QP objective, which
-            # is looser than the trace's bound, so as in the (phi, psi) block
-            # the incoming weights stay when the new ones score higher.
-            candidate = solve_pi(problem, theta, phi, weights)
-            pi_terms = evaluate(theta, w, candidate)
-            kept = pi_terms.total > terms.total
-            if not kept:
-                weights, terms = candidate, pi_terms
+            step(iteration, "pi", model, solve_pi(problem, model.theta, model.phi, weights))
         except (ConvergenceError, ValidationError, np.linalg.LinAlgError) as exc:
             raise ConvergenceError(
                 f"fit aborted during iteration {iteration}: {exc}", state=state
             ) from exc
-        after = record(iteration, "pi", current, terms.total,
-                       bound_gap=weights.bound_gap, sum_gap=weights.sum_gap,
-                       kept=kept)
-        trace.append(after)
-        term_trace.append(residual_entry(iteration, terms))
         state = snapshot(iteration)
-        previous = trace[-2]
+        previous, after = trace[-2:]
         if abs(previous - after) < hp.tol * max(1.0, abs(previous)):
             break
     return state

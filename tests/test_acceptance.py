@@ -73,7 +73,7 @@ def test_criterion_1_monotone_descent(descent_runs):
         trace = np.asarray(state.objective_trace)
         assert trace.size == 31  # 30 outer iterations plus the initial value
         worst = max(worst, float(np.max(np.diff(trace))))
-    ok = worst <= 1e-8 and elapsed <= 60.0
+    ok = worst <= 0.0 and elapsed <= 60.0
     assert report(
         1, "monotone descent on 20 random configs",
         ok, f"max per-iteration increase {worst:.2e}, runtime {elapsed:.1f}s",
@@ -96,7 +96,7 @@ def test_criterion_2_substep_exactness(descent_runs):
                 worst_bound = max(worst_bound, event["bound_gap"])
                 worst_sum = max(worst_sum, event["sum_gap"])
     ok = (
-        worst_step <= 1e-10
+        worst_step <= 0.0
         and worst_orth <= 1e-8
         and worst_bound <= 1e-9
         and worst_sum <= 1e-6

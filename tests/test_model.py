@@ -83,6 +83,19 @@ class TestTransferModel:
         np.testing.assert_array_equal(back.phi, model.phi)
         np.testing.assert_array_equal(back.psi, model.psi)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"psi": None}, "^model is missing psi$"),
+        ({"r": 3, "m": 2}, r"^malformed model: cannot reshape array of size 4 "
+                           r"into shape \(3,\s?2\)$"),
+        ({"theta": ["a", 0.0, 0.0, 1.0]}, "^malformed model: could not convert string"),
+    ])
+    def test_malformed_payload_rejected(self, change, message):
+        payload = TransferModel(np.eye(2), [0.0, 0.0], [1.0, 2.0], [3.0, 4.0]).to_json_dict()
+        payload.update(change)
+        payload = {key: value for key, value in payload.items() if value is not None}
+        with pytest.raises(ValidationError, match=message):
+            TransferModel.from_json_dict(payload)
+
 
 class TestSourceWeights:
     def test_bounds_checked(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from wdmatch.neighborhood import NeighborhoodGraph, build_graph
 from wdmatch.qp import solve_qp
 from wdmatch.optimizer import (
     InstanceWeightHessian,
+    OptState,
     fit,
     halving_descent,
     initial_theta,
@@ -324,7 +327,6 @@ class TestExactBlock:
         c1, c2 = 0.5 + seed / 4.0, 0.3 * seed
         problem, pi, shared, phi0, psi0 = block_instance(320 + seed, c1, c2)
         step = update_phi_psi(problem, phi0, psi0, shared, pi)
-        assert not step.kept
         source, target = problem.source, problem.target
         residuals = problem.residuals
         hess = c1 * np.eye(4) + 2.0 * c2 * residuals.T @ residuals
@@ -341,16 +343,6 @@ class TestExactBlock:
             assert np.all((dual >= 0.0) & (dual <= upper))
             np.testing.assert_array_equal(dual[slack > 1e-7], upper[slack > 1e-7])
             np.testing.assert_array_equal(dual[slack < -1e-7], 0.0)
-
-    def test_keeps_incumbent_that_is_not_beaten(self):
-        problem, pi, shared, phi0, psi0 = block_instance(340, 1.0, 1.0)
-        first = update_phi_psi(problem, phi0, psi0, shared, pi)
-        # The same cold dual solves reproduce the incumbent bit for bit, so the
-        # new pair is not lower and the incumbent stays.
-        again = update_phi_psi(problem, first.phi, first.psi, shared, pi)
-        assert again.kept and not first.kept
-        np.testing.assert_array_equal(again.phi, first.phi)
-        np.testing.assert_array_equal(again.psi, first.psi)
 
     def test_uncertified_duals_fall_back_to_halving_search(self):
         # c1 about 1e-14 of the squared source feature scale: rounding in the
@@ -611,6 +603,15 @@ class TestInitialTheta:
             assert lead > 0
 
 
+class TestOptState:
+    def test_any_rise_in_the_trace_is_rejected(self):
+        model = TransferModel(np.eye(2), [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        weights = SourceWeights.uniform(3, 3.0)
+        assert OptState(model, weights, (2.0, 1.0, 1.0), 2).objective_trace[-1] == 1.0
+        with pytest.raises(ValidationError, match="^objective trace increased$"):
+            OptState(model, weights, (2.0, 1.0, np.nextafter(1.0, 2.0)), 2)
+
+
 class TestFit:
     def test_zero_iterations_returns_initialization(self):
         _, source, target, *_ = small_problem(90)
@@ -729,6 +730,26 @@ class TestFit:
         records = [e for e in state.substeps if e["step"] == "pi"]
         assert all(e["kept"] and e["after"] == e["before"] for e in records)
         np.testing.assert_array_equal(state.weights.pi, np.ones(source.n))
+
+    @pytest.mark.parametrize("c1", [1.0, 0.0])
+    def test_phi_psi_step_that_raises_the_objective_is_not_taken(self, monkeypatch, c1):
+        _, source, target, *_ = small_problem(99)
+        hp = HyperParams(c1=c1, outer_iters=3, subgrad_iters=10, k=2, r=2, tol=0.0)
+        real = optimizer.update_phi_psi
+
+        def uphill(*args):
+            # The block's own answer shifted far in every coordinate: its
+            # hinge and smoothness terms, and at c1 > 0 its adaptation, grow.
+            block = real(*args)
+            return dataclasses.replace(block, phi=block.phi + 100.0, psi=block.psi - 100.0)
+
+        monkeypatch.setattr(optimizer, "update_phi_psi", uphill)
+        state = fit(source, target, hp)
+        records = [e for e in state.substeps if e["step"] == "phi_psi"]
+        assert len(records) == 3
+        assert all(e["kept"] and e["after"] == e["before"] for e in records)
+        np.testing.assert_array_equal(state.model.phi, np.zeros(source.dim))
+        assert all(np.diff(state.objective_trace) <= 0.0)
 
     def test_theta_step_that_raises_the_objective_is_not_taken(self):
         # At 1e4 times the feature scale, rounding scores this draw's
