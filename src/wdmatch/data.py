@@ -283,6 +283,8 @@ class SyntheticShiftSpec:
             raise ValidationError("samples must be at least 4")
         if not 0.0 <= self.noise <= 1.0:
             raise ValidationError("noise rate must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         shift = np.zeros(self.dim)
         if np.ndim(self.translation) == 0:
             shift[0] = float(self.translation)

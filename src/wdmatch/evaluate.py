@@ -130,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError("folds must be at least 2")
         if self.parallel < 1:
             raise ConfigError("parallel must be a positive integer")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         has_files = self.source is not None or self.target is not None
         if has_files and self.synthetic is not None:
             raise ConfigError("give either file datasets or a synthetic spec")

@@ -96,7 +96,11 @@ class TransferModel:
         """The model of a :meth:`to_json_dict` payload; a malformed one raises
         :class:`ValidationError`."""
         try:
-            r, m = int(payload["r"]), int(payload["m"])
+            r, m = payload["r"], payload["m"]
+            for key, size in (("r", r), ("m", m)):
+                # A JSON integer only: int() truncates 2.9, reshape infers -1.
+                if type(size) is not int or size < 1:
+                    raise ValueError(f"{key} must be a positive integer, not {size!r}")
             theta, w, phi, psi = (np.asarray(payload[key], dtype=np.float64)
                                   for key in ("theta", "w", "phi", "psi"))
             theta = theta.reshape(r, m)

@@ -7,11 +7,13 @@ Hx: the solver only ever asks for products, and :func:`_face_product` is the
 one place that restricts them to a face of free coordinates.
 
 The method is GPCG (More & Toraldo, SIAM J. Optim. 1, 1991): projected
-gradient steps with an Armijo search change many bounds at once, and
-conjugate gradients then minimize over the face those steps settle on. It is
-built on the exact projection onto the feasible set and stops on a KKT
-certificate. The sum constraint lives in two helpers: the projection, which
-is a clip without it, and the multiplier, which is 0 without it.
+gradient steps change many bounds at once, and conjugate gradients then
+minimize over the face those steps settle on. One projected Armijo search
+serves both phases: the gradient steps, and the last CG step on a face when
+it would leave the box. One KKT certificate serves both the stop test of
+each round and the final check. It is all built on the exact projection onto
+the feasible set. The sum constraint lives in two helpers: the projection,
+which is a clip without it, and the multiplier, which is 0 without it.
 """
 
 from __future__ import annotations
@@ -94,10 +96,12 @@ class BoxEqQP:
 class QPSolution:
     """Solver output: feasible point, objective value and a KKT certificate.
 
-    ``iterations`` counts the Hessian products of search trials, CG steps and
-    bound steps. Not counted are the gradient each GPCG round starts from, the
-    final certificate's gradient and the two objective evaluations (start and
-    end), which add one product per round and three per solve.
+    ``iterations`` counts the Hessian products of CG steps and of the search
+    trials that descend (a trial that does not descend costs no product), the
+    true gradient and the bound step that end CG at the edge of its face. Not
+    counted are the gradient each GPCG round starts from, the final
+    certificate's gradient and the two objective evaluations (start and end),
+    which add one product per round and three per solve.
     """
 
     x: np.ndarray
@@ -190,11 +194,8 @@ def _multiplier(problem, grad, at_lo, at_up) -> float:
     free = ~(at_lo | at_up)
     if free.any():
         return float(_centre(problem, grad[free]))
-    pinned = at_lo & at_up
-    lo_only = at_lo & ~pinned
-    up_only = at_up & ~pinned
-    hi = grad[lo_only].min() if lo_only.any() else np.inf
-    lo = grad[up_only].max() if up_only.any() else -np.inf
+    hi = np.min(grad[at_lo & ~at_up], initial=np.inf)
+    lo = np.max(grad[at_up & ~at_lo], initial=-np.inf)
     if np.isinf(hi) and np.isinf(lo):
         return 0.0
     if np.isinf(hi):
@@ -204,19 +205,19 @@ def _multiplier(problem, grad, at_lo, at_up) -> float:
     return float(0.5 * (lo + hi))
 
 
-def _stationarity_residual(problem, x, at_lo, at_up):
-    """KKT residual of x for the working-set partition (absolute scale)."""
+def _certificate(problem, x, at_lo, at_up):
+    """KKT certificate of x for the partition into bound and free coordinates.
+
+    Returns two absolute maxima, the free projected gradient |grad - lam| and
+    the wrong-sign bound multiplier (lam - grad at a lower bound, grad - lam
+    at an upper one; a pinned coordinate has no sign), then the gradient and
+    its scale, the largest gradient entry or 1 if that is smaller.
+    """
     grad = problem.hess.matvec(x) + problem.lin
-    pinned = at_lo & at_up
-    free = ~(at_lo | at_up)
-    lam = _multiplier(problem, grad, at_lo, at_up)
-    residual = max(
-        float(np.max(np.abs(grad[free] - lam), initial=0.0)),
-        float(np.max(lam - grad[at_lo & ~pinned], initial=0.0)),
-        float(np.max(grad[at_up & ~pinned] - lam, initial=0.0)),
-        _sum_gap(problem, x),
-    )
-    return residual, lam, grad
+    dual = grad - _multiplier(problem, grad, at_lo, at_up)
+    free_gap = float(np.max(np.abs(dual[~(at_lo | at_up)]), initial=0.0))
+    wrong_sign = float(np.max(np.where(at_lo, -dual, dual)[at_lo != at_up], initial=0.0))
+    return free_gap, wrong_sign, grad, max(1.0, float(np.max(np.abs(grad), initial=0.0)))
 
 
 def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
@@ -248,8 +249,9 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
 
     x, iterations = _gpcg(problem, x)
     x = np.clip(x, lower, upper)
-    residual, _, grad = _stationarity_residual(problem, x, x <= lower, x >= upper)
-    if residual > _KKT_LIMIT * max(1.0, float(np.max(np.abs(grad), initial=0.0))):
+    free_gap, wrong_sign, _, scale = _certificate(problem, x, x <= lower, x >= upper)
+    residual = max(free_gap, wrong_sign, _sum_gap(problem, x))
+    if residual > _KKT_LIMIT * scale:
         raise ConvergenceError(
             f"GPCG stopped after {iterations} Hessian products with "
             f"KKT residual {residual:.3e}"
@@ -275,27 +277,21 @@ def solve_box_qp(hess, lin, upper, start=None) -> QPSolution:
     return solve_qp(BoxEqQP(hess, lin, np.zeros(upper.size), upper, None), start)
 
 
-def _wrong_sign(dual, at_lo, at_up, movable, scale):
-    """Bound coordinates whose multiplier has the wrong sign beyond 1e-10 x scale."""
-    tol = _MULT_TOL * scale
-    return movable & ((at_lo & (dual < -tol)) | (at_up & (dual > tol)))
-
-
 def _gpcg(problem, x):
     """GPCG iterations from the feasible point x.
 
     Each round puts coordinates within 1e-12 box widths of a bound onto it,
     so that rounding cannot leave one free a hair off its bound, checks the
     KKT certificate, takes projected gradient steps until the binding set
-    settles, then runs CG on the resulting face. CG stops early (More-Toraldo) only after projected gradient steps that
-    changed the binding set. When CG ends at a new bound, the next round goes
-    straight back to CG on the smaller face: bounds are released only by
-    projected gradient steps taken where CG stopped inside its face, so
-    ill-conditioned faces cannot make a bound zigzag on and off. Returns the
-    final point and the number of Hessian products.
+    settles, then runs CG on the resulting face. CG stops early
+    (More-Toraldo) only after projected gradient steps that changed the
+    binding set. When CG ends at a new bound, the next round goes straight
+    back to CG on the smaller face: bounds are released only by projected
+    gradient steps taken where CG stopped inside its face, so ill-conditioned
+    faces cannot make a bound zigzag on and off. Returns the final point and
+    the number of Hessian products.
     """
     lower, upper = problem.lower, problem.upper
-    movable = upper > lower
     max_iter = 50 * problem.n
     iterations = 0
     blocked = False
@@ -303,13 +299,8 @@ def _gpcg(problem, x):
     while iterations < max_iter:
         x = np.where(x - lower <= snap, lower, x)
         x = np.where(upper - x <= snap, upper, x)
-        at_lo, at_up = x <= lower, x >= upper
-        _, lam, grad = _stationarity_residual(problem, x, at_lo, at_up)
-        scale = max(1.0, float(np.max(np.abs(grad), initial=0.0)))
-        dual = grad - lam
-        free = ~(at_lo | at_up)
-        if (np.max(np.abs(dual[free]), initial=0.0) <= _STAT_TOL * scale
-                and not _wrong_sign(dual, at_lo, at_up, movable, scale).any()):
+        free_gap, wrong_sign, grad, scale = _certificate(problem, x, x <= lower, x >= upper)
+        if free_gap <= _STAT_TOL * scale and wrong_sign <= _MULT_TOL * scale:
             break
         before, projected = x, not blocked
         changed = False
@@ -328,15 +319,44 @@ def _binding(x, lower, upper) -> np.ndarray:
     return (x >= upper).astype(np.int8) - (x <= lower).astype(np.int8)
 
 
+def _projected_search(x, direction, alpha, grad, matvec, lower, upper, total, floor):
+    """The first Armijo point on the projected path P(x + alpha direction).
+
+    P projects onto the box [lower, upper], at sum ``total`` unless that is
+    None. Trials halve alpha while it exceeds ``floor``, at most
+    ``_SEARCH_HALVINGS`` of them. A trial's slope is taken along ``grad``,
+    and only a trial that descends costs a product with ``matvec``. Returns
+    the point, its step's Hessian product, its gain and the products used;
+    the point is None when no trial passes or one does not move.
+    """
+    products = 0
+    for _ in range(_SEARCH_HALVINGS):
+        if alpha <= floor:
+            break
+        candidate = project_feasible(x + alpha * direction, lower, upper, total)
+        step = candidate - x
+        if not step.any():
+            break
+        slope = float(grad @ step)
+        if slope < 0.0:
+            h_step = matvec(step)
+            products += 1
+            gain = -(slope + 0.5 * float(step @ h_step))
+            if gain >= -_ARMIJO * slope:
+                return candidate, h_step, gain, products
+        alpha *= 0.5
+    return None, None, 0.0, products
+
+
 def _gradient_projection(problem, x, grad):
     """Projected gradient steps until the binding set settles or progress stalls.
 
-    Each step searches the projected path P(x - alpha grad), halving alpha
-    from the exact line minimizer along the steepest feasible direction until
-    the Armijo condition holds; many bounds can change in one step. At most
-    ``_GP_STEPS`` steps are taken: on an ill-conditioned problem they crawl,
-    and CG on the current face does better. Returns the point, its gradient,
-    the Hessian products used and whether the binding set changed.
+    Each step searches the projected path P(x - alpha grad), from the exact
+    line minimizer along the steepest feasible direction; many bounds can
+    change in one step. At most ``_GP_STEPS`` steps are taken: on an
+    ill-conditioned problem they crawl, and CG on the current face does
+    better. Returns the point, its gradient, the Hessian products used and
+    whether the binding set changed.
     """
     lower, upper, target = problem.lower, problem.upper, problem.eq_target
     movable = upper > lower
@@ -366,22 +386,11 @@ def _gradient_projection(problem, x, grad):
         # uses it too: the projection also undoes the rounding drift of
         # sum(x), which would add pivot * drift to a slope along grad.
         shifted = grad - pivot
-        for _ in range(_SEARCH_HALVINGS):
-            candidate = project_feasible(x - alpha * shifted, lower, upper, target)
-            step = candidate - x
-            if not step.any():
-                break
-            slope = float(shifted @ step)
-            if slope < 0.0:
-                h_step = problem.hess.matvec(step)
-                steps += 1
-                gain = -(slope + 0.5 * float(step @ h_step))
-                if gain >= -_ARMIJO * slope:
-                    break
-            alpha *= 0.5
-        else:
-            break
-        if not step.any():
+        candidate, h_step, gain, products = _projected_search(
+            x, -shifted, alpha, shifted, problem.hess.matvec, lower, upper, target, 0.0
+        )
+        steps += products
+        if candidate is None:
             break
         previous = _binding(x, lower, upper)
         x, grad = candidate, grad + h_step
@@ -413,10 +422,15 @@ def _face_cg(problem, x, grad, tol, early_stop):
     the free ones, made sum-zero under a sum constraint. CG stops once the
     residual's 2-norm is at most ``tol`` and, with ``early_stop``, once a step
     gains less than a tenth of the best step so far. A step that would leave
-    the box ends CG with a projected search along its direction; a direction
-    without curvature moves straight to the first blocking bound. A face of
-    one coordinate is worked on too unless the sum pins it. Returns the point,
-    the number of Hessian products and whether CG ended at a bound.
+    the box ends CG: with positive curvature, a projected search over the face
+    from the line minimizer down to the first blocking bound; otherwise, or
+    when no search point passes, a step to that bound. Both are scored with
+    the true gradient, because CG's recurred residual can drift from it on an
+    ill-conditioned face, and the bound step is not taken when it does not
+    descend. Bound coordinates stay where they are, so CG adds bounds and
+    never releases one. A face of one coordinate is worked on too unless the
+    sum pins it. Returns the point, the number of Hessian products and
+    whether CG ended at a bound.
     """
     lower, upper = problem.lower, problem.upper
     free = np.flatnonzero((x > lower) & (x < upper))
@@ -442,12 +456,23 @@ def _face_cg(problem, x, grad, tol, early_stop):
         if alpha >= room[blocker]:
             x = x.copy()
             x[free] = xf
-            moved, products = _bound_step(
-                problem, x, free, direction, alpha, room[blocker], blocker
+            face_grad = (problem.hess.matvec(x) + problem.lin)[free]
+            reach = _REACH * float(np.max(up - lo)) / float(np.max(np.abs(direction)))
+            moved, _, _, products = _projected_search(
+                xf, direction, min(alpha, reach) if curvature > 0.0 else 0.0,
+                face_grad, face_matvec, lo, up,
+                xf.sum() if problem.equalities else None, room[blocker],
             )
-            if moved is not None:
-                x[free] = moved
-            return x, steps + products, moved is not None
+            steps += 1 + products
+            if moved is None:
+                moved = np.clip(xf + room[blocker] * direction, lo, up)
+                moved[blocker] = up[blocker] if direction[blocker] > 0.0 else lo[blocker]
+                step = moved - xf
+                steps += 1
+                if float(face_grad @ step) + 0.5 * float(step @ face_matvec(step)) >= 0.0:
+                    return x, steps, False
+            x[free] = moved
+            return x, steps, True
         xf = xf + alpha * direction
         resid -= alpha * h_dir
         resid -= _centre(problem, resid)
@@ -462,44 +487,3 @@ def _face_cg(problem, x, grad, tol, early_stop):
     x = x.copy()
     x[free] = np.clip(xf, lo, up)
     return x, steps, False
-
-
-def _bound_step(problem, x, free, direction, alpha, alpha_max, blocker):
-    """Free coordinates after a CG direction that leaves the box at ``alpha_max``.
-
-    With positive curvature (``alpha`` finite, the line minimizer), search
-    the projected path P(x_F + beta direction) over the free coordinates only,
-    from beta = alpha down by halving while beta exceeds alpha_max, and accept
-    the first Armijo point. Otherwise step to the first blocking bound. Bound
-    coordinates stay where they are, so this step adds bounds and never
-    releases one. Every trial is scored with the true gradient, because CG's
-    recurred residual can drift from it on an ill-conditioned face; when not
-    even the step to the bound descends, None is returned instead. Also
-    returns the number of Hessian products.
-    """
-    xf, lo, up = x[free], problem.lower[free], problem.upper[free]
-    total = xf.sum() if problem.equalities else None
-    grad = (problem.hess.matvec(x) + problem.lin)[free]
-    face_matvec = _face_product(problem, free)
-    products = 1
-
-    def score(candidate):
-        nonlocal products
-        step = candidate - xf
-        products += 1
-        slope = float(grad @ step)
-        return slope, -(slope + 0.5 * float(step @ face_matvec(step)))
-
-    reach = _REACH * float(np.max(up - lo)) / float(np.max(np.abs(direction)))
-    beta = min(alpha, reach)
-    while np.isfinite(alpha) and beta > alpha_max:
-        candidate = project_feasible(xf + beta * direction, lo, up, total)
-        slope, gain = score(candidate)
-        if slope < 0.0 and gain >= -_ARMIJO * slope:
-            return candidate, products
-        beta *= 0.5
-    moved = np.clip(xf + alpha_max * direction, lo, up)
-    moved[blocker] = up[blocker] if direction[blocker] > 0.0 else lo[blocker]
-    if score(moved)[1] <= 0.0:
-        moved = None
-    return moved, products

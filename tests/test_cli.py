@@ -61,6 +61,28 @@ MALFORMED = [
 ]
 
 
+NEGATIVE_SYNTHETIC = {**synthetic_payload()["synthetic"], "seed": -1}
+
+
+@pytest.mark.parametrize("command, payload, flags", [
+    ("synth", NEGATIVE_SYNTHETIC, []),
+    ("fit", synthetic_payload(synthetic=NEGATIVE_SYNTHETIC), []),
+    ("cv", synthetic_payload(synthetic=NEGATIVE_SYNTHETIC), []),
+    ("cv", synthetic_payload(seed=-1), []),
+    ("cv", synthetic_payload(), ["--seed", "-1"]),
+], ids=["synth-spec", "fit-synthetic", "cv-synthetic", "cv-config", "cv-flag"])
+def test_negative_seed_exit_1(tmp_path, capsys, command, payload, flags):
+    path = str(write_config(tmp_path, payload))
+    if command == "synth":
+        argv = ["synth", "--spec", path, "--out-prefix", str(tmp_path) + "/"]
+    else:
+        argv = [command, "--config", path, "--out", str(tmp_path / "out.json"), *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be nonnegative\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestCvCommand:
     def test_happy_path(self, tmp_path, capsys):
         config = write_config(tmp_path, synthetic_payload())

@@ -88,6 +88,11 @@ class TestTransferModel:
         ({"r": 3, "m": 2}, r"^malformed model: cannot reshape array of size 4 "
                            r"into shape \(3,\s?2\)$"),
         ({"theta": ["a", 0.0, 0.0, 1.0]}, "^malformed model: could not convert string"),
+        ({"r": -1, "m": -2}, "^malformed model: r must be a positive integer, not -1$"),
+        ({"m": -2}, "^malformed model: m must be a positive integer, not -2$"),
+        ({"r": 2.9}, r"^malformed model: r must be a positive integer, not 2\.9$"),
+        ({"r": "2"}, "^malformed model: r must be a positive integer, not '2'$"),
+        ({"m": True}, "^malformed model: m must be a positive integer, not True$"),
     ])
     def test_malformed_payload_rejected(self, change, message):
         payload = TransferModel(np.eye(2), [0.0, 0.0], [1.0, 2.0], [3.0, 4.0]).to_json_dict()

@@ -178,6 +178,31 @@ class TestSolutionCertificates:
             )
 
 
+    def test_sum_at_its_lower_limit_returns_lower(self):
+        # Every coordinate sits at its lower bound, none at its upper: the
+        # multiplier is the lowest gradient, which certifies the vertex.
+        problem = random_problem(11, n=6)
+        problem = BoxEqQP(problem.hess, problem.lin, problem.lower, problem.upper,
+                          float(problem.lower.sum()))
+        sol = solve_qp(problem)
+        np.testing.assert_array_equal(sol.x, problem.lower)
+        assert sol.kkt_residual == 0.0
+
+    def test_start_a_hair_outside_the_box_is_projected(self):
+        problem = random_problem(1, n=8)
+        cold = solve_qp(problem)
+        start = cold.x.copy()
+        at_lower = int(np.flatnonzero(cold.x == problem.lower)[0])
+        inside = int(np.flatnonzero((cold.x > problem.lower) & (cold.x < problem.upper))[0])
+        start[at_lower] -= 1e-9
+        start[inside] += 1e-9
+        assert abs(start.sum() - problem.eq_target) <= 1e-15 * problem.n
+        sol = solve_qp(problem, start=start)
+        assert np.all(sol.x >= problem.lower) and np.all(sol.x <= problem.upper)
+        assert abs(sol.x.sum() - problem.eq_target) <= 1e-12
+        np.testing.assert_allclose(sol.x, cold.x, rtol=0.0, atol=1e-10)
+
+
 class TestProjection:
     def test_matches_bruteforce_shift(self):
         rng = np.random.default_rng(2)
