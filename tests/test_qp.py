@@ -177,7 +177,6 @@ class TestSolutionCertificates:
                 warm.iterations, cold.iterations,
             )
 
-
     def test_sum_at_its_lower_limit_returns_lower(self):
         # Every coordinate sits at its lower bound, none at its upper: the
         # multiplier is the lowest gradient, which certifies the vertex.
