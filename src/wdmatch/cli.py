@@ -97,8 +97,10 @@ def _cmd_fit(args) -> int:
     }
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     if args.trace_path:
+        trace = Path(args.trace_path)
+        trace.parent.mkdir(parents=True, exist_ok=True)
         lines = [json.dumps(entry) for entry in state.term_trace]
-        Path(args.trace_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"fit: {state.iteration} iterations, "
           f"objective {state.objective_trace[-1]:.6g} -> {out}")
     return 0

@@ -199,20 +199,27 @@ def load_dataset(path, format: str, n_features: int | None = None) -> DomainData
     format : str
         ``"dense-csv"`` or ``"sparse-svmlight"``.
     n_features : int, optional
-        Declared dimension for the sparse format; inferred from the largest
-        index seen when omitted. Ignored for dense input.
+        Declared dimension for the sparse format, a positive integer; inferred
+        from the largest index seen when omitted. Ignored for dense input.
+
+    A file that is not UTF-8 text raises :class:`ParseError`.
     """
     if format not in FORMATS:
         raise ValidationError(f"unknown format {format!r}; expected one of {FORMATS}")
+    if n_features is not None and n_features < 1:
+        raise ValidationError(f"n_features must be a positive integer, got {n_features}")
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"dataset file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            (lineno, stripped)
-            for lineno, raw in enumerate(fh, start=1)
-            if (stripped := raw.strip())
-        ]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [
+                (lineno, stripped)
+                for lineno, raw in enumerate(fh, start=1)
+                if (stripped := raw.strip())
+            ]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     if format == DENSE_CSV:
         rows, labels = _load_dense(lines)
     else:

@@ -76,28 +76,23 @@ def train_hinge_classifier(
     return w
 
 
+def _labeled_hinge(dataset: DomainDataset, hp: HyperParams, empty: str) -> np.ndarray:
+    """Hinge classifier trained on the labeled rows of ``dataset``; raises
+    :class:`ValidationError` with the message ``empty`` when there are none."""
+    if dataset.labeled_count == 0:
+        raise ValidationError(empty)
+    return train_hinge_classifier(dataset.labeled_features, dataset.labels,
+                                  iters=max(200, hp.subgrad_iters), rho=hp.rho)
+
+
 def baseline_source_only(source: DomainDataset, hp: HyperParams) -> np.ndarray:
     """Hinge classifier trained on the source domain alone."""
-    if source.n == 0 or source.labeled_count == 0:
-        raise ValidationError("source-only baseline needs labeled source data")
-    return train_hinge_classifier(
-        source.labeled_features,
-        source.labels,
-        iters=max(200, hp.subgrad_iters),
-        rho=hp.rho,
-    )
+    return _labeled_hinge(source, hp, "source-only baseline needs labeled source data")
 
 
 def baseline_target_only(target: DomainDataset, hp: HyperParams) -> np.ndarray:
     """Hinge classifier trained on the labeled target block alone."""
-    if target.labeled_count == 0:
-        raise ValidationError("target-only baseline needs labeled target points")
-    return train_hinge_classifier(
-        target.labeled_features,
-        target.labels,
-        iters=max(200, hp.subgrad_iters),
-        rho=hp.rho,
-    )
+    return _labeled_hinge(target, hp, "target-only baseline needs labeled target points")
 
 
 @dataclass(frozen=True)
@@ -213,31 +208,31 @@ def hold_out_fold(target: DomainDataset, test_idx: np.ndarray):
     return fold_target, target.features[test_idx], target.labels[test_idx]
 
 
+def _train_and_score(method: str, source, target, hp: HyperParams, x):
+    """Train ``method`` on the two domains; the scores of the rows ``x`` and
+    the fit's state (``None`` for a hinge baseline). No-adaptation is the fit
+    with c3 = 0. ``fit`` and the baselines are read as module globals, which
+    ``bench/layers.py`` wraps."""
+    if method == SOURCE_ONLY:
+        return x @ baseline_source_only(source, hp), None
+    if method == TARGET_ONLY:
+        return x @ baseline_target_only(target, hp), None
+    state = fit(source, target, replace(hp, c3=0.0) if method == NO_ADAPTATION else hp)
+    return classify_target(state.model, x), state
+
+
 def _fold_worker(payload):
     source, target, hp, test_idx, methods, want_terms = payload
     fold_target, test_x, test_y = hold_out_fold(target, test_idx)
     out = {}
     for method in methods:
         started = time.perf_counter()
-        trace = None
-        terms = None
-        if method in (PROPOSED, NO_ADAPTATION):
-            fold_hp = hp if method == PROPOSED else replace(hp, c3=0.0)
-            state = fit(source, fold_target, fold_hp)
-            scores = classify_target(state.model, test_x)
-            trace = list(state.objective_trace)
-            if want_terms:
-                terms = list(state.term_trace)
-        elif method == SOURCE_ONLY:
-            scores = test_x @ baseline_source_only(source, hp)
-        elif method == TARGET_ONLY:
-            scores = test_x @ baseline_target_only(fold_target, hp)
-        else:
-            raise ValidationError(f"unknown method {method!r}")
+        scores, state = _train_and_score(method, source, fold_target, hp, test_x)
+        fitted = state is not None
         out[method] = {
             "accuracy": accuracy(scores, test_y),
-            "trace": trace,
-            "terms": terms,
+            "trace": list(state.objective_trace) if fitted else None,
+            "terms": list(state.term_trace) if fitted and want_terms else None,
             "seconds": time.perf_counter() - started,
         }
     return out
@@ -269,22 +264,20 @@ def run_cv(config: ExperimentConfig) -> dict:
         "methods": {},
     }
     for method in methods:
-        per_fold = [fold_results[f][method]["accuracy"] for f in range(config.folds)]
-        traces = [fold_results[f][method]["trace"] for f in range(config.folds)]
-        seconds = [fold_results[f][method]["seconds"] for f in range(config.folds)]
+        results = [fold[method] for fold in fold_results]
+        per_fold = [result["accuracy"] for result in results]
+        seconds = [result["seconds"] for result in results]
         entry = {
             "mean_accuracy": float(np.mean(per_fold)),
             "fold_accuracies": per_fold,
-            "objective_traces": traces,
+            "objective_traces": [result["trace"] for result in results],
             "timing": {
                 "per_fold_seconds": seconds,
                 "total_seconds": float(sum(seconds)),
             },
         }
         if config.trace:
-            entry["term_traces"] = [
-                fold_results[f][method]["terms"] for f in range(config.folds)
-            ]
+            entry["term_traces"] = [result["terms"] for result in results]
         report["methods"][method] = entry
     return report
 
@@ -308,7 +301,6 @@ BENCHMARK_ANGLE = np.pi / 6.0
 BENCHMARK_SEPARATION = 4.0
 BENCHMARK_DIM = 4
 BENCHMARK_SAMPLES = 200
-BENCHMARK_TRANSLATION = (-1.5, 0.0, 0.0, 0.0)
 
 
 def rotated_benchmark_spec(
@@ -316,16 +308,12 @@ def rotated_benchmark_spec(
     samples: int = BENCHMARK_SAMPLES,
     dim: int = BENCHMARK_DIM,
 ) -> SyntheticShiftSpec:
-    translation = np.zeros(dim)
-    translation[: len(BENCHMARK_TRANSLATION)] = BENCHMARK_TRANSLATION[
-        : min(dim, len(BENCHMARK_TRANSLATION))
-    ]
     return SyntheticShiftSpec(
         dim=dim,
         samples=samples,
         separation=BENCHMARK_SEPARATION,
         angle=BENCHMARK_ANGLE,
-        translation=translation,
+        translation=-1.5,
         seed=seed,
     )
 
@@ -345,12 +333,7 @@ def transfer_benefit_trial(seed: int, hp: HyperParams | None = None) -> dict:
     spec = rotated_benchmark_spec(seed)
     source, target, hidden = synthetic_pair_with_hidden_labels(spec)
     eval_x = target.features[target.labeled_count:]
-
-    state = fit(source, target, hp)
-    ablation = fit(source, target, replace(hp, c3=0.0))
-    source_w = baseline_source_only(source, hp)
     return {
-        PROPOSED: accuracy(classify_target(state.model, eval_x), hidden),
-        NO_ADAPTATION: accuracy(classify_target(ablation.model, eval_x), hidden),
-        SOURCE_ONLY: accuracy(eval_x @ source_w, hidden),
+        method: accuracy(_train_and_score(method, source, target, hp, eval_x)[0], hidden)
+        for method in (PROPOSED, NO_ADAPTATION, SOURCE_ONLY)
     }

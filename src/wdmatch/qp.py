@@ -12,8 +12,11 @@ minimize over the face those steps settle on. One projected Armijo search
 serves both phases: the gradient steps, and the last CG step on a face when
 it would leave the box. One KKT certificate serves both the stop test of
 each round and the final check. It is all built on the exact projection onto
-the feasible set. The sum constraint lives in two helpers: the projection,
-which is a clip without it, and the multiplier, which is 0 without it.
+the feasible set. The sum constraint is read from ``problem.equalities`` in
+several places. Without it the projection is a clip; the multiplier, the
+:func:`_centre` shift and :func:`_sum_gap` are 0; :func:`_interior_start`
+starts at the box centre; and :func:`_gradient_projection` and
+:func:`_face_cg` also move a face of one coordinate, which the sum would pin.
 """
 
 from __future__ import annotations

@@ -169,6 +169,16 @@ class TestFitCommand:
         model = TransferModel.from_json_dict(payload["model"])
         assert model.to_json_dict() == payload["model"]
 
+    def test_trace_into_new_directory(self, tmp_path):
+        config = write_config(tmp_path, synthetic_payload())
+        out, trace = tmp_path / "model.json", tmp_path / "nodir" / "trace.jsonl"
+        code = main([
+            "fit", "--config", str(config), "--out", str(out), "--trace", str(trace),
+        ])
+        assert code == 0
+        values = [v["total"] for v in map(json.loads, trace.read_text().splitlines())]
+        assert values == json.loads(out.read_text())["objective_trace"]
+
     def test_standardize_flag_sets_config_field(self, tmp_path):
         def fit_output(payload, *flags):
             config = write_config(tmp_path, payload)
@@ -283,3 +293,24 @@ class TestDumpGraphCommand:
             assert len(entry["neighbors"]) == 3
             assert int(i) not in entry["neighbors"]
             assert sum(entry["weights"]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("fmt, content", [
+    ("dense-csv", b"1,0.5,1.0\n-1,\xff,2.0\n1,1.5,0.0\n"),
+    ("sparse-svmlight", b"1 1:0.5\n-1 2:\xff\n1 1:1.5\n"),
+], ids=["dense-csv", "sparse-svmlight"])
+@pytest.mark.parametrize("command", ["dump-graph", "fit"])
+def test_non_utf8_file_exit_1(tmp_path, capsys, fmt, content, command):
+    data = tmp_path / "bad.txt"
+    data.write_bytes(content)
+    if command == "dump-graph":
+        argv = ["dump-graph", "--data", str(data), "--format", fmt, "--k", "1"]
+    else:
+        entry = {"path": str(data), "format": fmt}
+        argv = ["fit", "--config",
+                str(write_config(tmp_path, {"source": entry, "target": entry}))]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: not UTF-8 text")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()

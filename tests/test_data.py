@@ -190,6 +190,42 @@ class TestSparseLoader:
             load_dataset(path, "sparse-svmlight")
 
 
+class TestLoaderFaults:
+    @pytest.mark.parametrize("fmt, text, error, message", [
+        ("libsvm", "1 1:1.0\n", ValidationError, "^unknown format 'libsvm'; expected one of"),
+        ("dense-csv", "", ValidationError, "d.txt: no data rows$"),
+        ("sparse-svmlight", "\n  \n", ValidationError, "d.txt: no data rows$"),
+        ("dense-csv", "x,1.0\n", ParseError, "^line 1: unreadable label 'x'$"),
+        ("sparse-svmlight", "1 1:1.0\nx 1:1.0\n", ParseError,
+         "^line 2: unreadable label 'x'$"),
+    ], ids=["unknown-format", "dense-empty", "sparse-blank", "dense-label", "sparse-label"])
+    def test_invalid_input_rejected(self, tmp_path, fmt, text, error, message):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        with pytest.raises(error, match=message):
+            load_dataset(path, fmt)
+
+    @pytest.mark.parametrize("fmt, content", [
+        ("dense-csv", b"1,0.5\n-1,\xff\n"),
+        ("sparse-svmlight", b"1 1:0.5\n-1 1:\xff\n"),
+    ], ids=["dense-csv", "sparse-svmlight"])
+    def test_not_utf8_rejected(self, tmp_path, fmt, content):
+        path = tmp_path / "d.txt"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=r"d\.txt: not UTF-8 text \("):
+            load_dataset(path, fmt)
+
+    @pytest.mark.parametrize("n_features", [-1, 0])
+    @pytest.mark.parametrize("text", ["1\n-1\n?\n", "1 1:1.0\n-1 2:1.0\n"],
+                             ids=["no-entries", "entries"])
+    def test_declared_dimension_below_one_rejected(self, tmp_path, n_features, text):
+        path = tmp_path / "d.svm"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^n_features must be a positive "
+                                                  f"integer, got {n_features}$"):
+            load_dataset(path, "sparse-svmlight", n_features=n_features)
+
+
 class TestRoundTrip:
     def test_dense_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -241,6 +277,10 @@ class TestRoundTrip:
         path = tmp_path / "out"
         save_dataset(ds, path, fmt)
         assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="^unknown format 'libsvm'; expected one of"):
+            save_dataset(DomainDataset([[1.0]], [1.0]), tmp_path / "out", "libsvm")
 
 
 class TestSyntheticPair:

@@ -14,6 +14,7 @@ from wdmatch.data import (
 )
 from wdmatch.errors import ConfigError, ValidationError
 from wdmatch.evaluate import (
+    DatasetFile,
     ExperimentConfig,
     accuracy,
     baseline_source_only,
@@ -64,6 +65,14 @@ class TestAccuracy:
         with pytest.raises(ValidationError):
             accuracy([1.0], [1.0, -1.0])
 
+    @pytest.mark.parametrize("scores, labels, message", [
+        ([], [], "^accuracy of an empty set is undefined$"),
+        ([1.0, -1.0], [1.0, 0.0], "^labels must be \\+1 or -1$"),
+    ])
+    def test_invalid_input_rejected(self, scores, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            accuracy(scores, labels)
+
 
 class TestHingeBaselines:
     def test_separable_training_accuracy(self):
@@ -100,6 +109,15 @@ class TestHingeBaselines:
         unlabeled = DomainDataset(np.zeros((3, 2)), [])
         with pytest.raises(ValidationError):
             baseline_target_only(unlabeled, HyperParams())
+
+    @pytest.mark.parametrize("baseline, message", [
+        (baseline_source_only, "^source-only baseline needs labeled source data$"),
+        (baseline_target_only, "^target-only baseline needs labeled target points$"),
+    ])
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_baseline_names_itself_without_labels(self, baseline, message, rows):
+        with pytest.raises(ValidationError, match=message):
+            baseline(DomainDataset(np.zeros((rows, 2)), []), HyperParams())
 
 
 class TestStratifiedFolds:
@@ -140,6 +158,13 @@ class TestHoldOutFold:
         for row in test_x:
             assert np.any(np.all(fold_target.features == row, axis=1))
 
+    @pytest.mark.parametrize("test_idx", [[6], [-1], [0, 9]])
+    def test_index_out_of_range_rejected(self, test_idx):
+        target = DomainDataset(np.zeros((10, 2)), np.ones(6))
+        with pytest.raises(ValidationError,
+                           match="^test indices must address labeled target rows$"):
+            hold_out_fold(target, np.array(test_idx))
+
 
 class TestExperimentConfig:
     def test_requires_some_dataset(self):
@@ -166,6 +191,17 @@ class TestExperimentConfig:
     def test_no_matching_alias(self):
         config = synthetic_config(baselines=("no-matching",))
         assert config.baselines == ("no-adaptation",)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"parallel": 0}, "^parallel must be a positive integer$"),
+        ({"synthetic": None, "source": DatasetFile("s.csv", "dense-csv")},
+         "^both source and target files are required$"),
+        ({"synthetic": None, "target": DatasetFile("t.csv", "dense-csv")},
+         "^both source and target files are required$"),
+    ])
+    def test_invalid_field_rejected(self, change, message):
+        with pytest.raises(ConfigError, match=message):
+            synthetic_config(**change)
 
     def test_json_round_trip(self):
         config = synthetic_config()

@@ -101,6 +101,17 @@ class TestTransferModel:
         with pytest.raises(ValidationError, match=message):
             TransferModel.from_json_dict(payload)
 
+    @pytest.mark.parametrize("theta, w, message", [
+        (np.ones(2), [0.0], "^theta must be an r x m matrix$"),
+        (np.zeros((0, 2)), [], "^need 1 <= r <= m, got r=0, m=2$"),
+        (np.ones((2, 1)), [0.0, 0.0], "^need 1 <= r <= m, got r=2, m=1$"),
+        (np.eye(2), [0.0], "^parameter vector sizes do not match theta$"),
+        (np.eye(2), [np.nan, 0.0], "^model parameters must be finite$"),
+    ])
+    def test_invalid_parameters_rejected(self, theta, w, message):
+        with pytest.raises(ValidationError, match=message):
+            TransferModel(theta, w, [0.0, 0.0], [0.0, 0.0])
+
 
 class TestSourceWeights:
     def test_bounds_checked(self):
@@ -114,6 +125,10 @@ class TestSourceWeights:
     def test_delta_floor(self):
         with pytest.raises(ValidationError):
             SourceWeights([1.0, 1.0], 0.5)
+
+    def test_empty_pi_rejected(self):
+        with pytest.raises(ValidationError, match="^pi must be non-empty$"):
+            SourceWeights([], 3.0)
 
     def test_uniform(self):
         weights = SourceWeights.uniform(5, 2.0)
@@ -139,6 +154,17 @@ class TestHyperParams:
             for value in (np.nan, np.inf):
                 with pytest.raises(ValidationError, match=name):
                     HyperParams(**{name: value})
+
+    @pytest.mark.parametrize("change, message", [
+        ({"c2": -1.0}, "^trade-off weights must be nonnegative$"),
+        ({"k": 0}, "^k must be a positive integer$"),
+        ({"outer_iters": -1}, "^iteration budgets must be nonnegative$"),
+        ({"subgrad_iters": -1}, "^iteration budgets must be nonnegative$"),
+        ({"tol": -1e-9}, "^tol must be nonnegative$"),
+    ])
+    def test_out_of_range_value_rejected(self, change, message):
+        with pytest.raises(ValidationError, match=message):
+            HyperParams(**change)
 
     def test_json_round_trip(self):
         hp = HyperParams(c1=0.5, r=4, tol=1e-5)
@@ -300,6 +326,13 @@ class TestClassifiers:
         for i in range(6):
             assert scores[i] == pytest.approx(classify_source(model, batch[i]))
 
+    @pytest.mark.parametrize("classify", [classify_source, classify_target])
+    def test_input_dimension_checked(self, classify):
+        model = TransferModel(np.eye(2), [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValidationError,
+                           match="^input dimension does not match the model$"):
+            classify(model, np.ones((3, 3)))
+
 
 class TestHinge:
     def test_pointwise_values(self):
@@ -402,3 +435,16 @@ class TestObjective:
             objective(
                 model, weights, Problem(source, target, HyperParams(), None, graphs[1])
             )
+
+    def test_weight_length_checked(self):
+        source, target, model, _, graphs = random_instance(43)
+        problem = Problem(source, target, HyperParams(), *graphs)
+        with pytest.raises(ValidationError,
+                           match="^weight vector length does not match the source$"):
+            objective(model, SourceWeights.uniform(source.n + 1, 3.0), problem)
+
+    def test_graph_sizes_checked(self):
+        source, target, _, _, graphs = random_instance(44, n1=8, n2=6)
+        with pytest.raises(ValidationError,
+                           match="^graph sizes do not match the datasets$"):
+            Problem(source, target, HyperParams(), graphs[1], graphs[0])

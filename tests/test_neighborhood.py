@@ -363,6 +363,18 @@ class TestGraphOperators:
         assert set(payload) == {"0", "1", "2"}
         assert len(payload["0"]["neighbors"]) == 2
 
+    @pytest.mark.parametrize("neighbors, weights, message", [
+        ([[1], [0]], [[0.5, 0.5], [0.5, 0.5]],
+         r"^neighbors and weights must share an \(n, k\) shape$"),
+        (np.zeros((2, 0)), np.zeros((2, 0)),
+         "^graph must have at least one neighbor per point$"),
+        ([[2], [0]], [[1.0], [1.0]], "^neighbor index out of range$"),
+        ([[1], [-1]], [[1.0], [1.0]], "^neighbor index out of range$"),
+    ])
+    def test_invalid_graph_rejected(self, neighbors, weights, message):
+        with pytest.raises(ValidationError, match=message):
+            NeighborhoodGraph(neighbors, weights)
+
 
 class TestFeatureScale:
     def test_weights_do_not_depend_on_feature_scale(self):
