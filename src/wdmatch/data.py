@@ -202,17 +202,19 @@ def load_dataset(path, format: str, n_features: int | None = None) -> DomainData
         Declared dimension for the sparse format, a positive integer; inferred
         from the largest index seen when omitted. Ignored for dense input.
 
-    A file that is not UTF-8 text raises :class:`ParseError`.
+    A file that is not UTF-8 text raises :class:`ParseError`; a leading
+    byte-order mark is skipped.
     """
     if format not in FORMATS:
         raise ValidationError(f"unknown format {format!r}; expected one of {FORMATS}")
-    if n_features is not None and n_features < 1:
-        raise ValidationError(f"n_features must be a positive integer, got {n_features}")
+    integral = isinstance(n_features, (int, np.integer)) and not isinstance(n_features, bool)
+    if n_features is not None and not (integral and n_features >= 1):
+        raise ValidationError(f"n_features must be a positive integer, got {n_features!r}")
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"dataset file not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [
                 (lineno, stripped)
                 for lineno, raw in enumerate(fh, start=1)
@@ -392,12 +394,13 @@ def _encode(value):
 
 
 def load_json(path, cls):
-    """Read a JSON file into the dataclass ``cls`` through :func:`from_json`."""
+    """Read a JSON file, with or without a byte-order mark, into the dataclass
+    ``cls`` through :func:`from_json`."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"file not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8-sig"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return from_json(cls, payload)

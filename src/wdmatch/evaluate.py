@@ -51,20 +51,14 @@ def accuracy(scores, labels) -> float:
     return float(np.mean(predictions == labels))
 
 
-def train_hinge_classifier(
-    features, labels, iters: int = 300, rho: float = 0.1
-) -> np.ndarray:
-    """Linear classifier minimizing the plain hinge sum by subgradient descent.
-
-    Uses the main solver's :func:`halving_descent`; serves as the
-    source-only and target-only comparison anchors.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValidationError("training set must be a non-empty matrix")
-    if features.shape[0] != labels.size:
-        raise ValidationError("feature/label count mismatch")
+def _labeled_hinge(dataset: DomainDataset, hp: HyperParams, empty: str) -> np.ndarray:
+    """Linear classifier minimizing the plain hinge sum over the labeled rows of
+    ``dataset``, by :func:`~wdmatch.optimizer.halving_descent` with
+    ``max(200, hp.subgrad_iters)`` steps from ``hp.rho``; raises
+    :class:`ValidationError` with the message ``empty`` when there are none."""
+    if dataset.labeled_count == 0:
+        raise ValidationError(empty)
+    features, labels = dataset.labeled_features, dataset.labels
 
     def value(params):
         return float(hinge_losses(features @ params[0], labels).sum())
@@ -72,17 +66,9 @@ def train_hinge_classifier(
     def gradient(params):
         return (hinge_subgradient(features, labels, params[0]),)
 
-    (w,) = halving_descent(value, gradient, (np.zeros(features.shape[1]),), iters, rho)
+    (w,) = halving_descent(value, gradient, (np.zeros(dataset.dim),),
+                           max(200, hp.subgrad_iters), hp.rho)
     return w
-
-
-def _labeled_hinge(dataset: DomainDataset, hp: HyperParams, empty: str) -> np.ndarray:
-    """Hinge classifier trained on the labeled rows of ``dataset``; raises
-    :class:`ValidationError` with the message ``empty`` when there are none."""
-    if dataset.labeled_count == 0:
-        raise ValidationError(empty)
-    return train_hinge_classifier(dataset.labeled_features, dataset.labels,
-                                  iters=max(200, hp.subgrad_iters), rho=hp.rho)
 
 
 def baseline_source_only(source: DomainDataset, hp: HyperParams) -> np.ndarray:

@@ -288,11 +288,10 @@ class Problem:
 
     Built once from the two datasets, the hyperparameters and both
     neighborhood graphs; validated on construction. It carries the target
-    residual matrix of the response-smoothness term, the raw target feature
-    mean and the labeled target rows; :meth:`source_mean` gives the raw source
-    mean under instance weights pi. The instance-weight QP applies ``I - W``
-    straight from the source graph's (n, k) arrays, so nothing of size n x n
-    is stored.
+    residual matrix of the response-smoothness term and the raw target
+    feature mean; :meth:`source_mean` gives the raw source mean under instance
+    weights pi. The instance-weight QP applies ``I - W`` straight from the
+    source graph's (n, k) arrays, so nothing of size n x n is stored.
 
     For c1 > 0 it also carries the :class:`HingeDual` of each effective
     classifier: ``source_dual`` for phi (rows y_i x_i, H = c1 I) and
@@ -308,7 +307,6 @@ class Problem:
     target_graph: NeighborhoodGraph
     residuals: np.ndarray = field(init=False)
     target_mean: np.ndarray = field(init=False)
-    labeled_target: np.ndarray = field(init=False)
     source_dual: HingeDual | None = field(init=False)
     target_dual: HingeDual | None = field(init=False)
 
@@ -328,7 +326,6 @@ class Problem:
             arr.flags.writeable = False
         object.__setattr__(self, "residuals", residuals)
         object.__setattr__(self, "target_mean", target_mean)
-        object.__setattr__(self, "labeled_target", target.labeled_features)
         source_dual = target_dual = None
         if self.hp.c1 > 0.0:
             c1_eye = self.hp.c1 * np.eye(source.dim)
@@ -336,7 +333,7 @@ class Problem:
                 source.labels[:, None] * source.features, c1_eye
             )
             target_dual = HingeDual.build(
-                target.labels[:, None] * self.labeled_target,
+                target.labels[:, None] * target.labeled_features,
                 c1_eye + 2.0 * self.hp.c2 * (residuals.T @ residuals),
             )
         object.__setattr__(self, "source_dual", source_dual)
@@ -355,9 +352,7 @@ def classifier_terms(problem: Problem, phi, psi, shared, pi) -> tuple:
     """
     source, target, hp = problem.source, problem.target, problem.hp
     source_hinge = float(pi @ hinge_losses(source.features @ phi, source.labels))
-    target_hinge = float(
-        hinge_losses(problem.labeled_target @ psi, target.labels).sum()
-    )
+    target_hinge = float(hinge_losses(target.labeled_features @ psi, target.labels).sum())
     du = phi - shared
     dv = psi - shared
     adaptation = 0.5 * hp.c1 * float(du @ du + dv @ dv)

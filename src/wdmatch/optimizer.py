@@ -50,7 +50,8 @@ class OptState:
     ``theta`` with its w re-solve, ``pi``), together with the constraint
     residuals that the update is responsible for. A ``phi_psi`` entry also
     holds the Hessian products and KKT residuals of its two dual solves
-    (``dual_products``, ``dual_kkt``), as :class:`BlockStep` reports them.
+    (``dual_products``, ``dual_kkt``), read from :attr:`BlockStep.duals`; they
+    are (0, 0) and (None, None) where the halving search ran.
     Every entry records whether it ``kept`` the incumbent because the block's
     candidate scored strictly higher. The trace may not rise at all.
     """
@@ -203,7 +204,7 @@ def subgradients(problem: Problem, phi, psi, shared, pi):
     g_phi = hinge_subgradient(source.features, source.labels, phi, pi)
     g_phi += hp.c1 * (phi - shared)
 
-    g_psi = hinge_subgradient(problem.labeled_target, target.labels, psi)
+    g_psi = hinge_subgradient(target.labeled_features, target.labels, psi)
     g_psi += hp.c1 * (psi - shared)
     g_psi += 2.0 * hp.c2 * (residuals.T @ (residuals @ psi))
     return g_phi, g_psi
@@ -213,18 +214,15 @@ def subgradients(problem: Problem, phi, psi, shared, pi):
 class BlockStep:
     """The candidate (phi, psi) of one block update.
 
-    ``duals`` holds the dual solutions (alpha, beta) that warm-start the next
-    block, and ``products`` and ``kkt`` the Hessian products and KKT residuals
-    of their two solves. Where the halving search ran instead (see
-    :func:`update_phi_psi`) there are no duals: ``duals`` is None,
-    ``products`` is (0, 0) and ``kkt`` is (None, None).
+    ``duals`` is the pair (alpha, beta) of :class:`~wdmatch.qp.QPSolution` of
+    the two hinge duals, which warm-starts the next block and reports each
+    solve's Hessian products and KKT residual. It is None where the halving
+    search ran instead (see :func:`update_phi_psi`).
     """
 
     phi: np.ndarray
     psi: np.ndarray
     duals: tuple | None
-    products: tuple
-    kkt: tuple
 
 
 def _solve_hinge_dual(dual: HingeDual, shift, upper, start):
@@ -233,17 +231,6 @@ def _solve_hinge_dual(dual: HingeDual, shift, upper, start):
     lifted = dual.factor.T @ shift
     solution = solve_box_qp(dual, dual.rows @ lifted - 1.0, upper, start)
     return dual.factor @ (lifted + dual.rows.T @ solution.x), solution
-
-
-def _exact_block(problem: Problem, shared, pi, duals) -> BlockStep:
-    """The block minimum from both hinge duals; see :func:`update_phi_psi`."""
-    shift = problem.hp.c1 * np.asarray(shared, dtype=np.float64)
-    alpha, beta = (None, None) if duals is None else (np.minimum(duals[0], pi), duals[1])
-    phi, alpha = _solve_hinge_dual(problem.source_dual, shift, pi, alpha)
-    upper = np.ones(problem.target.labeled_count)
-    psi, beta = _solve_hinge_dual(problem.target_dual, shift, upper, beta)
-    return BlockStep(phi, psi, (alpha.x, beta.x), (alpha.iterations, beta.iterations),
-                     (alpha.kkt_residual, beta.kkt_residual))
 
 
 def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockStep:
@@ -255,9 +242,9 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
     A = diag(y) X and 0 <= alpha <= pi, and psi = H^-1 (c1 s + B'beta) with
     B the labeled target rows signed by label, 0 <= beta <= 1 and
     H = c1 I + 2 c2 R'R. Here s = ``shared``. Both duals are box-only QPs,
-    solved by GPCG through :func:`~wdmatch.qp.solve_box_qp` and warm-started
-    from ``duals`` (alpha clipped to ``pi``, which leaves a zero-width box
-    where pi is 0).
+    solved by GPCG through :func:`~wdmatch.qp.solve_box_qp`. ``duals`` is the
+    previous block's :attr:`BlockStep.duals`; the solves warm-start from its
+    alpha clipped to ``pi`` (a zero-width box where pi is 0) and its beta.
 
     At c1 = 0 the block is not strongly convex, and it runs
     :func:`halving_descent` on :func:`subgradients` from (``phi``, ``psi``)
@@ -269,8 +256,14 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
     decides whether to take it.
     """
     if problem.source_dual is not None:
+        shift = problem.hp.c1 * np.asarray(shared, dtype=np.float64)
+        alpha, beta = (None, None) if duals is None else (
+            np.minimum(duals[0].x, pi), duals[1].x)
         try:
-            return _exact_block(problem, shared, pi, duals)
+            phi_step, alpha = _solve_hinge_dual(problem.source_dual, shift, pi, alpha)
+            upper = np.ones(problem.target.labeled_count)
+            psi_step, beta = _solve_hinge_dual(problem.target_dual, shift, upper, beta)
+            return BlockStep(phi_step, psi_step, (alpha, beta))
         except ConvergenceError as exc:
             logger.debug("hinge duals not certified (%s); halving search instead", exc)
     phi, psi = halving_descent(
@@ -279,7 +272,7 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
         (np.asarray(phi, dtype=np.float64), np.asarray(psi, dtype=np.float64)),
         problem.hp.subgrad_iters, problem.hp.rho,
     )
-    return BlockStep(phi, psi, None, (0, 0), (None, None))
+    return BlockStep(phi, psi, None)
 
 
 @dataclass(frozen=True)
@@ -309,7 +302,8 @@ def solve_pi(problem: Problem, theta, phi, weights: SourceWeights) -> SourceWeig
     mean-matching term ``(c3/n^2) P P'`` with ``P = X theta'``. The linear
     term carries the current hinge losses and the pull toward the target
     mean. :func:`~wdmatch.qp.solve_qp` minimizes it by GPCG, so memory stays
-    O(n (k + r)).
+    O(n (k + r)). A box wider than n (``hp.delta`` >= n) has the same feasible
+    set as the box of width n, which the solve uses instead.
     """
     source, hp = problem.source, problem.hp
     n1 = source.n
@@ -324,7 +318,7 @@ def solve_pi(problem: Problem, theta, phi, weights: SourceWeights) -> SourceWeig
         hess=hess,
         lin=lin,
         lower=np.zeros(n1),
-        upper=np.full(n1, hp.delta),
+        upper=np.full(n1, min(hp.delta, n1)),
         eq_target=float(n1),
     )
     solution = solve_qp(qp, start=weights.pi)
@@ -410,7 +404,8 @@ def fit(
                                    model.theta.T @ model.w, weights.pi, duals)
             duals = block.duals
             step(iteration, "phi_psi", replace(model, phi=block.phi, psi=block.psi),
-                 weights, dual_products=block.products, dual_kkt=block.kkt)
+                 weights, dual_products=tuple(s.iterations for s in duals or ()) or (0, 0),
+                 dual_kkt=tuple(s.kkt_residual for s in duals or ()) or (None, None))
 
             # The projection step owns its induced w re-solve: the spectral
             # problem eliminates w, so only the (theta, w) pair descends.

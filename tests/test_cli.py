@@ -199,6 +199,31 @@ class TestFitCommand:
         assert err.startswith("error: c1 must be finite") and "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_zero_rank_exit_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, synthetic_payload(hyperparams={"r": 0}))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == "error: r must be a positive integer\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_byte_order_marks_read_as_plain_files(self, tmp_path):
+        spec = write_config(tmp_path, synthetic_payload()["synthetic"], "spec.json")
+        assert main(["synth", "--spec", str(spec), "--out-prefix", f"{tmp_path}/"]) == 0
+
+        def fit_output(mark):
+            entries = {}
+            for role in ("source", "target"):
+                data = tmp_path / f"{mark.hex()}{role}.csv"
+                data.write_bytes(mark + (tmp_path / f"{role}.csv").read_bytes())
+                entries[role] = {"path": str(data), "format": "dense-csv"}
+            payload = synthetic_payload(synthetic=None, **entries)
+            config = tmp_path / f"{mark.hex()}config.json"
+            config.write_bytes(mark + json.dumps(payload).encode())
+            out = tmp_path / f"{mark.hex()}model.json"
+            assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        assert fit_output(b"\xef\xbb\xbf") == fit_output(b"")
+
     def test_huge_svmlight_index_exit_1(self, tmp_path, capsys):
         # numpy refuses a 2^62-wide array outright; nothing large is allocated.
         data = tmp_path / "huge.svm"

@@ -18,7 +18,7 @@ from wdmatch.data import (
     to_json,
 )
 from wdmatch.errors import ConfigError, ParseError, ValidationError
-from wdmatch.evaluate import DatasetFile, ExperimentConfig, accuracy, train_hinge_classifier
+from wdmatch.evaluate import DatasetFile, ExperimentConfig, accuracy, baseline_source_only
 from wdmatch.model import HyperParams
 
 
@@ -164,6 +164,8 @@ class TestSparseLoader:
         ("1 4611686018427387904:1.0\n-1 1:0.5\n", None,
          "feature index 4611686018427387904 is too large"),
         ("1 1:1.0\n", 2**62, "declared dimension 4611686018427387904 is too large"),
+        # Past int64, so the index never reaches numpy.
+        ("1 9223372036854775808:1.0\n", None, "^line 1: feature index too large$"),
     ])
     def test_invalid_value_or_index_rejected(self, tmp_path, text, n_features, message):
         path = tmp_path / "s.svm"
@@ -224,6 +226,27 @@ class TestLoaderFaults:
         with pytest.raises(ValidationError, match=f"^n_features must be a positive "
                                                   f"integer, got {n_features}$"):
             load_dataset(path, "sparse-svmlight", n_features=n_features)
+
+    @pytest.mark.parametrize("n_features, shown", [(True, "True"), (2.5, "2.5"),
+                                                   ("3", "'3'")])
+    def test_declared_dimension_not_an_integer_rejected(self, tmp_path, n_features, shown):
+        path = tmp_path / "d.svm"
+        path.write_text("1 1:1.0\n-1 2:1.0\n")
+        with pytest.raises(ValidationError, match=f"^n_features must be a positive "
+                                                  f"integer, got {shown}$"):
+            load_dataset(path, "sparse-svmlight", n_features=n_features)
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("dense-csv", "1,0.5,1.0\n-1,2.0,-3.0\n?,1.5,0.0\n"),
+        ("sparse-svmlight", "1 1:0.5 2:1.0\n-1 2:-3.0\n? 1:1.5\n"),
+    ], ids=["dense-csv", "sparse-svmlight"])
+    def test_byte_order_mark_skipped(self, tmp_path, fmt, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        expected, got = load_dataset(plain, fmt), load_dataset(marked, fmt)
+        assert got.features.tobytes() == expected.features.tobytes()
+        assert got.labels.tobytes() == expected.labels.tobytes()
 
 
 class TestRoundTrip:
@@ -326,7 +349,8 @@ class TestSyntheticPair:
         spec = SyntheticShiftSpec(dim=2, samples=400, separation=6.0, seed=21)
         source, _ = generate_synthetic_pair(spec)
         half = source.n // 2
-        w = train_hinge_classifier(source.features[:half], source.labels[:half])
+        half_source = DomainDataset(source.features[:half], source.labels[:half])
+        w = baseline_source_only(half_source, HyperParams())
         acc = accuracy(source.features[half:] @ w, source.labels[half:])
         assert acc >= 0.99
 
@@ -440,3 +464,12 @@ class TestJsonRecords:
             path.write_bytes(content)
             with pytest.raises(ConfigError, match="invalid JSON"):
                 load_json(path, SyntheticShiftSpec)
+
+    def test_load_json_skips_byte_order_mark(self, tmp_path):
+        config = ExperimentConfig(
+            source=DatasetFile("s.csv", "dense-csv"), target=DatasetFile("t.csv", "dense-csv"),
+            hp=HyperParams(r=2, c3=3.0), folds=3,
+        )
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(to_json(config)).encode())
+        assert load_json(path, ExperimentConfig) == config

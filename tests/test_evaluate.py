@@ -23,7 +23,6 @@ from wdmatch.evaluate import (
     resolve_datasets,
     run_cv,
     stratified_folds,
-    train_hinge_classifier,
     write_report,
 )
 from wdmatch.model import HyperParams
@@ -79,14 +78,14 @@ class TestHingeBaselines:
         rng = np.random.default_rng(0)
         x = np.vstack([rng.normal(3.0, 0.5, (30, 2)), rng.normal(-3.0, 0.5, (30, 2))])
         y = np.concatenate([np.ones(30), -np.ones(30)])
-        w = train_hinge_classifier(x, y)
+        w = baseline_source_only(DomainDataset(x, y), HyperParams())
         assert accuracy(x @ w, y) == 1.0
 
     def test_hinge_at_zero_slack_is_active(self):
         # The first unit step puts the point exactly on the margin (slack 0).
         # Counted as active, its subgradient is -1 and the second step is taken;
         # counted as inactive, descent would stop at w = 1.
-        w = train_hinge_classifier([[1.0]], [1.0], iters=2, rho=1.0)
+        w = baseline_source_only(DomainDataset([[1.0]], [1.0]), HyperParams(rho=1.0))
         np.testing.assert_array_equal(w, [2.0])
 
     def test_zero_shift_transfers(self):

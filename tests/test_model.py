@@ -161,6 +161,7 @@ class TestHyperParams:
         ({"outer_iters": -1}, "^iteration budgets must be nonnegative$"),
         ({"subgrad_iters": -1}, "^iteration budgets must be nonnegative$"),
         ({"tol": -1e-9}, "^tol must be nonnegative$"),
+        ({"r": 0}, "^r must be a positive integer$"),
     ])
     def test_out_of_range_value_rejected(self, change, message):
         with pytest.raises(ValidationError, match=message):

@@ -22,7 +22,7 @@ from wdmatch.model import (
 )
 from wdmatch import optimizer
 from wdmatch.neighborhood import NeighborhoodGraph, build_graph
-from wdmatch.qp import solve_qp
+from wdmatch.qp import QPSolution, solve_qp
 from wdmatch.optimizer import (
     InstanceWeightHessian,
     OptState,
@@ -330,10 +330,10 @@ class TestExactBlock:
         source, target = problem.source, problem.target
         residuals = problem.residuals
         hess = c1 * np.eye(4) + 2.0 * c2 * residuals.T @ residuals
-        alpha, beta = step.duals
+        alpha, beta = (solution.x for solution in step.duals)
         blocks = (
             (source.features, source.labels, step.phi, c1 * (step.phi - shared), alpha, pi),
-            (problem.labeled_target, target.labels, step.psi,
+            (target.labeled_features, target.labels, step.psi,
              hess @ step.psi - c1 * shared, beta, np.ones(target.labeled_count)),
         )
         for features, labels, classifier, pull, dual, upper in blocks:
@@ -354,16 +354,17 @@ class TestExactBlock:
         )
         fixed = (np.zeros(4), np.ones(40))
         step = update_phi_psi(problem, np.zeros(4), np.zeros(4), *fixed)
-        assert (step.duals, step.products, step.kkt) == (None, (0, 0), (None, None))
+        assert step.duals is None
         assert (q_value(problem, step.phi, step.psi, *fixed)
                 < q_value(problem, np.zeros(4), np.zeros(4), *fixed))
 
     def test_warm_start_clips_alpha_to_pi(self):
         problem, pi, shared, phi0, psi0 = block_instance(350, 1.0, 1.0)
-        stale = (np.full(pi.size, 3.0), np.ones(problem.target.labeled_count))
+        stale = (QPSolution(np.full(pi.size, 3.0), 0.0, 0, 0.0),
+                 QPSolution(np.ones(problem.target.labeled_count), 0.0, 0, 0.0))
         warm = update_phi_psi(problem, phi0, psi0, shared, pi, stale)
         cold = update_phi_psi(problem, phi0, psi0, shared, pi)
-        assert np.all(warm.duals[0] <= pi)
+        assert np.all(warm.duals[0].x <= pi)
         assert (q_value(problem, warm.phi, warm.psi, shared, pi)
                 == pytest.approx(q_value(problem, cold.phi, cold.psi, shared, pi),
                                  rel=1e-10))
@@ -491,6 +492,18 @@ class TestSolvePi:
             return terms.source_hinge + terms.weight_smoothness + terms.mean_matching
 
         assert pi_terms(new) <= pi_terms(incumbent) + 1e-10
+
+    @pytest.mark.parametrize("delta", [1e8, 1e10, 1e12])
+    def test_box_wider_than_n_acts_as_n(self, delta):
+        # sum(pi) = n caps every weight at n, so a wider box is the same QP. At
+        # 1e12 an uncapped box snaps every weight to a bound and fails the fit.
+        source, target = generate_synthetic_pair(rotated_benchmark_spec(1, samples=60))
+        hp = HyperParams(r=3, c3=3.0, outer_iters=4, subgrad_iters=20)
+        wide = fit(source, target, dataclasses.replace(hp, delta=delta))
+        exact = fit(source, target, dataclasses.replace(hp, delta=float(source.n)))
+        assert wide.objective_trace == exact.objective_trace
+        np.testing.assert_array_equal(wide.weights.pi, exact.weights.pi)
+        np.testing.assert_array_equal(wide.model.theta, exact.model.theta)
 
 
 def random_graph(rng, n, k, isolated=()):
