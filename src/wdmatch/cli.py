@@ -1,7 +1,7 @@
 """Command-line interface: fit, cv, synth and dump-graph subcommands.
 
-Exit codes: 0 on success, 1 on validation or configuration problems, 2 when a
-solver fails to converge.
+Exit codes: 0 on success, 1 on validation or configuration problems and on an
+output that cannot be written, 2 when a solver fails to converge.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -101,14 +101,6 @@ def halving_descent(value, gradient, params: tuple, iters: int, rho: float) -> t
     return params
 
 
-def _sign_rows(rows: np.ndarray) -> np.ndarray:
-    """Flip rows in place so each first non-negligible component is positive."""
-    significant = np.abs(rows) > 1e-12
-    first = rows[np.arange(rows.shape[0]), np.argmax(significant, axis=1)]
-    rows[significant.any(axis=1) & (first < 0.0)] *= -1.0
-    return rows
-
-
 def solve_w(theta: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Closed-form shared classifier: w = theta (phi + psi) / 2."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -162,11 +154,14 @@ def min_trace_rows(terms, m: int, r: int) -> np.ndarray:
         values, evecs = np.linalg.eigh(compressed)
         vectors = span @ evecs
     need = min(r, m - vectors.shape[1])
-    completed, _ = np.linalg.qr(np.hstack([vectors, np.eye(m)[:, :need]]))
+    completed, _ = np.linalg.qr(np.hstack([vectors, np.eye(m, need)]))
     completed[:, : vectors.shape[1]] = vectors  # Q has them up to sign and rounding
     values = np.concatenate([values, np.zeros(need)])
-    order = np.argsort(values, kind="stable")[:r]
-    return _sign_rows(completed[:, order].T.copy())
+    rows = completed[:, np.argsort(values, kind="stable")[:r]].T.copy()
+    significant = np.abs(rows) > 1e-12
+    first = rows[np.arange(r), np.argmax(significant, axis=1)]
+    rows[significant.any(axis=1) & (first < 0.0)] *= -1.0
+    return rows
 
 
 def solve_theta(problem: Problem, phi, psi, weights: SourceWeights) -> np.ndarray:
@@ -326,14 +321,6 @@ def solve_pi(problem: Problem, theta, phi, weights: SourceWeights) -> SourceWeig
     return SourceWeights(solution.x, hp.delta)
 
 
-def initial_theta(source: DomainDataset, target: DomainDataset, r: int) -> np.ndarray:
-    """Top-r principal directions of the pooled data, deterministically signed."""
-    pooled = np.vstack([source.features, target.features])
-    centered = pooled - pooled.mean(axis=0)
-    _, evecs = np.linalg.eigh(centered.T @ centered)
-    return _sign_rows(evecs[:, ::-1][:, :r].T.copy())
-
-
 def fit(
     source: DomainDataset,
     target: DomainDataset,
@@ -362,10 +349,14 @@ def fit(
         source, target, hp, build_graph(source, hp.k), build_graph(target, hp.k)
     )
 
+    # The start is the theta step's own answer at phi = psi = 0 and uniform pi,
+    # where w = 0. The first classifier block sees theta'w = 0 and the theta
+    # step never reads theta, so the start's theta survives only where the
+    # first theta candidate ties it up to rounding (r = m at c1 = 0).
     zeros = np.zeros(source.dim)
-    theta = initial_theta(source, target, hp.resolved_r(source.dim))
-    model = TransferModel(theta, solve_w(theta, zeros, zeros), zeros, zeros)
     weights = SourceWeights.uniform(source.n, hp.delta)
+    theta = solve_theta(problem, zeros, zeros, weights)
+    model = TransferModel(theta, solve_w(theta, zeros, zeros), zeros, zeros)
     terms = objective(model, weights, problem)
     trace, term_trace, substeps = [], [], []
     duals = None

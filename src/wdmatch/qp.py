@@ -231,7 +231,7 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
     is within 1e-11, and every bound multiplier within 1e-10 of the right
     sign, of the largest gradient entry. The cap is ``50 * n`` Hessian
     products; if the KKT residual still exceeds 1e-6 of the largest gradient
-    entry (or 1e-6, if that entry is smaller than 1) there, a
+    entry (or 1e-6, if that entry is smaller than 1) there, or is NaN, a
     :class:`ConvergenceError` is raised.
     """
     n = problem.n
@@ -254,7 +254,7 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
     x = np.clip(x, lower, upper)
     free_gap, wrong_sign, _, scale = _certificate(problem, x, x <= lower, x >= upper)
     residual = max(free_gap, wrong_sign, _sum_gap(problem, x))
-    if residual > _KKT_LIMIT * scale:
+    if not residual <= _KKT_LIMIT * scale:  # a NaN residual certifies nothing
         raise ConvergenceError(
             f"GPCG stopped after {iterations} Hessian products with "
             f"KKT residual {residual:.3e}"

@@ -339,3 +339,27 @@ def test_non_utf8_file_exit_1(tmp_path, capsys, fmt, content, command):
     assert err.startswith(f"error: {data}: not UTF-8 text")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-out", "fit-trace", "cv-out", "dump-graph-out",
+                                     "synth-prefix"])
+def test_unwritable_output_exit_1(tmp_path, capsys, command):
+    spec = write_config(tmp_path, synthetic_payload()["synthetic"], "spec.json")
+    assert main(["synth", "--spec", str(spec), "--out-prefix", f"{tmp_path}/"]) == 0
+    capsys.readouterr()
+    config = str(write_config(tmp_path, synthetic_payload()))
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    argv = {
+        "fit-out": ["fit", "--config", config, "--out", str(taken)],
+        "fit-trace": ["fit", "--config", config, "--out", str(tmp_path / "m.json"),
+                      "--trace", str(taken)],
+        "cv-out": ["cv", "--config", config, "--out", str(taken)],
+        "dump-graph-out": ["dump-graph", "--data", str(tmp_path / "source.csv"),
+                           "--out", str(taken)],
+        "synth-prefix": ["synth", "--spec", str(spec), "--out-prefix", f"{spec}/"],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("File exists" if command == "synth-prefix" else "Is a directory") in err

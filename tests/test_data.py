@@ -39,6 +39,11 @@ class TestDomainDataset:
         with pytest.raises(ValidationError):
             DomainDataset([[np.inf]], [])
 
+    @pytest.mark.parametrize("features", [[1.0, 2.0], [[[1.0]]]], ids=["1-D", "3-D"])
+    def test_rejects_features_that_are_not_2d(self, features):
+        with pytest.raises(ValidationError, match="^features must be a 2-D matrix$"):
+            DomainDataset(features, [])
+
     def test_immutable(self):
         ds = DomainDataset([[1.0, 2.0]], [1.0])
         with pytest.raises(ValueError):

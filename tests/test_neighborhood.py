@@ -50,6 +50,10 @@ class TestBuildKnn:
         pts = np.array([[2.0, 2.0], [2.0, 2.0]])
         assert build_knn(pts, 1).tolist() == [[1], [0]]
 
+    def test_one_dimensional_points_rejected(self):
+        with pytest.raises(ValidationError, match="^expected a 2-D point matrix$"):
+            build_knn(np.array([0.0, 1.0, 2.0]), 1)
+
     def test_tie_break_ascending_index(self):
         pts = np.array([[0.0], [1.0], [-1.0], [1.0]])
         # Points 1, 2 and 3 are all at distance 1 from point 0.
@@ -108,6 +112,10 @@ class TestSolveReconstruction:
         omega = solve_reconstruction([1.5, -2.0], [[1.5, -2.0]])
         np.testing.assert_allclose(omega, [1.0], atol=1e-12)
         assert reconstruction_objective([1.5, -2.0], [[1.5, -2.0]], omega) <= 1e-12
+
+    def test_zero_neighbors_rejected(self):
+        with pytest.raises(ValidationError, match="^need at least one neighbor vector$"):
+            solve_reconstruction([1.0, 2.0], np.zeros((0, 2)))
 
     def test_midpoint_symmetry(self):
         omega = solve_reconstruction([0.0, 0.0], [[1.0, 1.0], [-1.0, -1.0]])

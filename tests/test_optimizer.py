@@ -8,6 +8,7 @@ from wdmatch.errors import ValidationError
 from wdmatch.evaluate import (
     accuracy,
     baseline_source_only,
+    benchmark_hyperparams,
     rotated_benchmark_spec,
 )
 from wdmatch.data import synthetic_pair_with_hidden_labels
@@ -28,7 +29,6 @@ from wdmatch.optimizer import (
     OptState,
     fit,
     halving_descent,
-    initial_theta,
     min_trace_rows,
     q_value,
     solve_pi,
@@ -74,6 +74,10 @@ class TestSolveW:
         theta = np.eye(3)[:2]
         np.testing.assert_array_equal(solve_w(theta, np.zeros(3), np.zeros(3)), [0.0, 0.0])
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="^phi/psi length does not match theta$"):
+            solve_w(np.eye(3)[:2], np.zeros(3), np.zeros(2))
+
     def test_coordinate_row(self):
         theta = np.array([[1.0, 0.0, 0.0]])
         w = solve_w(theta, [2.0, 6.0, 0.0], [0.0, 0.0, 0.0])
@@ -104,6 +108,15 @@ class TestMinTraceRows:
     def test_rank_one_negative_direction(self):
         rows = min_trace_rows([(-1.0, np.array([3.0, 0.0, 0.0]))], 3, 1)
         np.testing.assert_allclose(rows, [[1.0, 0.0, 0.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_rank_outside_one_to_m_rejected(self, r):
+        with pytest.raises(ValidationError, match=f"^need 1 <= r <= m, got r={r}, m=3$"):
+            min_trace_rows([(1.0, np.ones(3))], 3, r)
+
+    def test_term_of_wrong_length_rejected(self):
+        with pytest.raises(ValidationError, match="^term vector has the wrong dimension$"):
+            min_trace_rows([(1.0, np.ones(3)), (-1.0, np.ones(4))], 3, 1)
 
     def test_zero_matrix_gives_canonical_basis(self):
         rows = min_trace_rows([(0.5, np.zeros(4))], 4, 2)
@@ -600,20 +613,43 @@ def test_pi_step_on_ill_conditioned_faces(spec, scale, hp):
             assert event["sum_gap"] <= 1e-9 * source.n
 
 
-class TestInitialTheta:
-    def test_orthonormal_and_deterministic(self):
-        _, source, target, *_ = small_problem(80)
-        a = initial_theta(source, target, 3)
-        b = initial_theta(source, target, 3)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_allclose(a @ a.T, np.eye(3), atol=1e-10)
+class TestFitStart:
+    def test_start_is_the_theta_step_at_zero(self):
+        # At phi = psi = 0 the theta step only keeps the rows off the mean gap
+        # of uniform pi, so with r < m the start objective is the hinge count.
+        _, source, target, graphs = small_problem(80)
+        hp = HyperParams(outer_iters=0, k=2, r=2)
+        state = fit(source, target, hp)
+        zeros = np.zeros(source.dim)
+        expected = solve_theta(Problem(source, target, hp, *graphs), zeros, zeros,
+                               SourceWeights.uniform(source.n, hp.delta))
+        np.testing.assert_array_equal(state.model.theta, expected)
+        np.testing.assert_array_equal(state.model.w, [0.0, 0.0])
+        assert state.objective_trace == (source.n + target.labeled_count,)
 
-    def test_sign_convention(self):
-        _, source, target, *_ = small_problem(81)
-        theta = initial_theta(source, target, 2)
-        for row in theta:
-            lead = row[np.abs(row) > 1e-12][0]
-            assert lead > 0
+    @pytest.mark.parametrize("c1", [1.0, 0.0])
+    def test_no_iterate_reads_the_start_theta(self, monkeypatch, c1):
+        _, source, target, *_ = small_problem(81, m=5)
+        hp = HyperParams(c1=c1, outer_iters=4, subgrad_iters=10, k=2, r=2, tol=0.0)
+        plain = fit(source, target, hp)
+        real, calls = optimizer.solve_theta, []
+
+        def other_start(*args):
+            calls.append(None)
+            if len(calls) == 1:
+                return random_orthonormal_rows(np.random.default_rng(82), 2, 5)
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "solve_theta", other_start)
+        moved = fit(source, target, hp)
+        assert moved.objective_trace[0] != plain.objective_trace[0]
+        assert moved.objective_trace[1:] == plain.objective_trace[1:]
+        assert moved.term_trace[1:] == plain.term_trace[1:]
+        assert moved.iteration == plain.iteration == 4
+        for name in ("theta", "w", "phi", "psi"):
+            np.testing.assert_array_equal(getattr(moved.model, name),
+                                          getattr(plain.model, name))
+        np.testing.assert_array_equal(moved.weights.pi, plain.weights.pi)
 
 
 class TestOptState:
@@ -624,8 +660,33 @@ class TestOptState:
         with pytest.raises(ValidationError, match="^objective trace increased$"):
             OptState(model, weights, (2.0, 1.0, np.nextafter(1.0, 2.0)), 2)
 
+    def test_empty_trace_is_rejected(self):
+        model = TransferModel(np.eye(2), [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        weights = SourceWeights.uniform(3, 3.0)
+        with pytest.raises(ValidationError, match="^objective trace may not be empty$"):
+            OptState(model, weights, (), 0)
+
 
 class TestFit:
+    def test_inputs_must_be_datasets(self):
+        _, source, target, *_ = small_problem(89)
+        with pytest.raises(ValidationError, match="^fit expects DomainDataset inputs$"):
+            fit(source.features, target)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+    @pytest.mark.parametrize("draw", [0, 2])
+    def test_nan_dual_factor_falls_back_to_halving_search(self, draw):
+        # At c1 = 1e-14, eigh can give c1 I + 2 c2 R'R negative eigenvalues,
+        # so the target dual's factor holds NaN; its solve is uncertified and
+        # the block runs the halving search instead.
+        source, target = generate_synthetic_pair(rotated_benchmark_spec(draw, 40, 60))
+        hp = dataclasses.replace(benchmark_hyperparams(), c1=1e-14)
+        state = fit(source, target, hp)
+        assert state.iteration >= 2
+        records = [e for e in state.substeps if e["step"] == "phi_psi"]
+        assert any(e["dual_kkt"] == (None, None) for e in records)
+        assert all(np.all(np.isfinite(v)) for v in (state.model.phi, state.model.psi))
+
     def test_zero_iterations_returns_initialization(self):
         _, source, target, *_ = small_problem(90)
         state = fit(source, target, HyperParams(outer_iters=0, k=2, r=2))

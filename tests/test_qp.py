@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from wdmatch.errors import InfeasibleProblemError, ValidationError
+from wdmatch.errors import ConvergenceError, InfeasibleProblemError, ValidationError
 from wdmatch.neighborhood import NeighborhoodGraph
 from wdmatch.optimizer import InstanceWeightHessian
 from wdmatch.model import HingeDual
@@ -43,6 +43,24 @@ class TestProblemValidation:
         problem = BoxEqQP(EYE2, [0.0, 0.0], [0.0, 0.0], [2.0, 2.0], 2.0)
         with pytest.raises(ValidationError):
             solve_qp(problem, start=np.array([2.0, 2.0]))
+
+    @pytest.mark.parametrize("lower, upper", [([0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0])],
+                             ids=["lower", "upper"])
+    def test_bound_sizes_must_match(self, lower, upper):
+        with pytest.raises(ValidationError,
+                           match="^bound vectors must match the problem size$"):
+            BoxEqQP(EYE2, [0.0, 0.0], lower, upper, None)
+
+    def test_start_of_wrong_length_rejected(self):
+        problem = BoxEqQP(EYE2, [0.0, 0.0], [0.0, 0.0], [2.0, 2.0], 2.0)
+        with pytest.raises(ValidationError, match="^start point has the wrong length$"):
+            solve_qp(problem, start=np.ones(3))
+
+    def test_nan_residual_is_not_certified(self):
+        # A NaN in the linear term makes a gradient entry, and so the KKT
+        # residual, NaN; the comparison with the limit must not pass it.
+        with pytest.raises(ConvergenceError, match="KKT residual nan$"):
+            solve_box_qp(MatrixOperator(np.eye(3)), [np.nan, -1.0, 0.5], np.ones(3))
 
 
 class TestKnownSolutions:
