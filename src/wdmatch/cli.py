@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
     DENSE_CSV, FORMATS, SPARSE_SVMLIGHT, SyntheticShiftSpec, generate_synthetic_pair,
     load_dataset, load_json, save_dataset,
@@ -83,24 +85,40 @@ def _load_config(args):
     return dataclasses.replace(config, **overrides)
 
 
+def _write_all(outputs: dict) -> None:
+    """Write every {path: text} output or none: each text goes to a temporary
+    file beside its target, and all are renamed once every one is written."""
+    staged = []
+    try:
+        for path, text in outputs.items():
+            if path.is_dir():  # renaming onto it would fail after the others
+                raise IsADirectoryError(f"Is a directory: '{path}'")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            staged.append(path.with_name(f".{path.name}.tmp"))
+            staged[-1].write_text(text, encoding="utf-8")
+        for temp, path in zip(staged, outputs):
+            temp.replace(path)
+    finally:
+        for temp in staged:
+            temp.unlink(missing_ok=True)
+
+
 def _cmd_fit(args) -> int:
     config = _load_config(args)
     source, target = resolve_datasets(config)
     state = fit(source, target, config.hp)
     out = Path(args.out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "model": state.model.to_json_dict(),
         "pi": [float(v) for v in state.weights.pi],
         "objective_trace": list(state.objective_trace),
         "iterations": state.iteration,
     }
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    outputs = {out: json.dumps(payload, indent=2) + "\n"}
     if args.trace_path:
-        trace = Path(args.trace_path)
-        trace.parent.mkdir(parents=True, exist_ok=True)
         lines = [json.dumps(entry) for entry in state.term_trace]
-        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outputs[Path(args.trace_path)] = "\n".join(lines) + "\n"
+    _write_all(outputs)
     print(f"fit: {state.iteration} iterations, "
           f"objective {state.objective_trace[-1]:.6g} -> {out}")
     return 0
@@ -140,10 +158,8 @@ def _cmd_synth(args) -> int:
 def _cmd_dump_graph(args) -> int:
     dataset = load_dataset(args.data, args.format, n_features=args.n_features)
     graph = build_graph(dataset, args.k)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(graph.to_json_dict(), indent=2) + "\n", encoding="utf-8")
-    print(f"dump-graph: wrote {out}")
+    _write_all({Path(args.out): json.dumps(graph.to_json_dict(), indent=2) + "\n"})
+    print(f"dump-graph: wrote {args.out}")
     return 0
 
 
@@ -166,7 +182,7 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceError as exc:
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 2
 

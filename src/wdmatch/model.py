@@ -261,22 +261,28 @@ class ObjectiveTerms:
 class HingeDual:
     """The dual of min_c sum_i u_i max(0, 1 - g_i'c) + 0.5 c'Hc - b'c.
 
-    The hinge rows G and the positive definite H are fixed; the weights u and
-    the linear term b vary. With H^-1 = L L' (``factor`` L, from ``eigh``) and
-    ``rows`` K = G L, the minimizer is c = L (L'b + K'a), where a minimizes
-    0.5 a'KK'a + (K L'b - 1)'a over 0 <= a <= u; the dual gradient at a is
-    minus the hinge slacks 1 - Gc. ``matvec`` applies KK' in O(nm) and never
-    forms it.
+    The hinge rows G and H = c1 I + S'S are fixed; u and b vary. With the thin
+    SVD S = V diag(s) Z' of a p x m S, :meth:`lift` applies L = H^-1/2 =
+    I / sqrt(c1) - B B' for B = Z diag(sqrt((1 - sqrt(c1) / hypot(sqrt(c1), s))
+    / sqrt(c1))), held in O(m min(p, m)) memory, and ``rows`` is K = G L. The
+    minimizer is c = L (L b + K'a), where a minimizes 0.5 a'KK'a + (K L b - 1)'a
+    over 0 <= a <= u; the dual gradient at a is minus the hinge slacks 1 - Gc.
+    ``matvec`` applies KK' in O(nm).
     """
 
     rows: np.ndarray
-    factor: np.ndarray
+    scale: float
+    basis: np.ndarray
 
     @classmethod
-    def build(cls, hinge_rows: np.ndarray, hess: np.ndarray) -> "HingeDual":
-        values, vectors = np.linalg.eigh(hess)
-        factor = vectors / np.sqrt(values)
-        return cls(hinge_rows @ factor, factor)
+    def build(cls, hinge_rows: np.ndarray, c1: float, curvature: np.ndarray) -> "HingeDual":
+        _, singular, right = np.linalg.svd(curvature, full_matrices=False)
+        root = np.sqrt(c1)
+        basis = right.T * np.sqrt((1.0 - root / np.hypot(root, singular)) / root)
+        return cls(hinge_rows / root - (hinge_rows @ basis) @ basis.T, 1.0 / root, basis)
+
+    def lift(self, v: np.ndarray) -> np.ndarray:
+        return self.scale * v - self.basis @ (self.basis.T @ v)
 
     def matvec(self, a: np.ndarray) -> np.ndarray:
         return self.rows @ (self.rows.T @ a)
@@ -294,10 +300,11 @@ class Problem:
     source graph's (n, k) arrays, so nothing of size n x n is stored.
 
     For c1 > 0 it also carries the :class:`HingeDual` of each effective
-    classifier: ``source_dual`` for phi (rows y_i x_i, H = c1 I) and
-    ``target_dual`` for psi (labeled target rows, H = c1 I + 2 c2 R'R with R
-    the residual matrix). At c1 = 0 neither H is positive definite and both
-    are None.
+    classifier: ``source_dual`` for phi (rows y_i x_i, H = c1 I, S empty) and
+    ``target_dual`` for psi (labeled target rows, H = c1 I + 2 c2 R'R, S =
+    sqrt(2 c2) R with R the residual matrix). At c1 = 0 neither H is positive
+    definite and both are None. A c2 for which sqrt(2 c2) R overflows is
+    rejected at every c1.
     """
 
     source: DomainDataset
@@ -326,16 +333,15 @@ class Problem:
             arr.flags.writeable = False
         object.__setattr__(self, "residuals", residuals)
         object.__setattr__(self, "target_mean", target_mean)
+        c2_root = float(np.sqrt(2.0 * self.hp.c2))
+        if not np.isfinite(c2_root * float(np.abs(residuals).max())):
+            raise ValidationError("c2 is too large: sqrt(2 c2) R overflows")
         source_dual = target_dual = None
         if self.hp.c1 > 0.0:
-            c1_eye = self.hp.c1 * np.eye(source.dim)
-            source_dual = HingeDual.build(
-                source.labels[:, None] * source.features, c1_eye
-            )
-            target_dual = HingeDual.build(
-                target.labels[:, None] * target.labeled_features,
-                c1_eye + 2.0 * self.hp.c2 * (residuals.T @ residuals),
-            )
+            source_dual = HingeDual.build(source.labels[:, None] * source.features,
+                                          self.hp.c1, np.zeros((0, source.dim)))
+            target_dual = HingeDual.build(target.labels[:, None] * target.labeled_features,
+                                          self.hp.c1, c2_root * residuals)
         object.__setattr__(self, "source_dual", source_dual)
         object.__setattr__(self, "target_dual", target_dual)
 

@@ -223,9 +223,9 @@ class BlockStep:
 def _solve_hinge_dual(dual: HingeDual, shift, upper, start):
     """The primal minimizer of one :class:`~wdmatch.model.HingeDual` and its
     dual solution, for linear term ``shift`` and hinge weights ``upper``."""
-    lifted = dual.factor.T @ shift
+    lifted = dual.lift(shift)
     solution = solve_box_qp(dual, dual.rows @ lifted - 1.0, upper, start)
-    return dual.factor @ (lifted + dual.rows.T @ solution.x), solution
+    return dual.lift(lifted + dual.rows.T @ solution.x), solution
 
 
 def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockStep:

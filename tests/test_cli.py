@@ -235,6 +235,23 @@ class TestFitCommand:
         assert err.startswith("error: feature index 4611686018427387904")
         assert "Traceback" not in err
 
+    def test_overflowing_c2_exit_1(self, tmp_path, capsys):
+        # sqrt(2 c2) overflows, so the target dual's scaled residuals hold inf.
+        config = write_config(tmp_path, synthetic_payload(hyperparams={"c2": 1e308}))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: c2 ") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
+    def test_linear_algebra_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        def diverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(wdmatch.cli, "fit", diverged)
+        config = write_config(tmp_path, synthetic_payload())
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == "convergence failure: SVD did not converge\n"
+
     def test_convergence_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise ConvergenceError("budget exhausted")
@@ -363,3 +380,5 @@ def test_unwritable_output_exit_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("File exists" if command == "synth-prefix" else "Is a directory") in err
+    # A fit whose trace cannot be written leaves no model (nor temporary file).
+    assert sorted(p.name for p in tmp_path.glob("*m.json*")) == []

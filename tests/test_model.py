@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from wdmatch.data import DomainDataset, from_json, to_json
+from wdmatch.data import DomainDataset, from_json, generate_synthetic_pair, to_json
 from wdmatch.errors import ValidationError
+from wdmatch.evaluate import rotated_benchmark_spec
 from wdmatch.model import (
+    HingeDual,
     HyperParams,
     Problem,
     SourceWeights,
@@ -444,8 +446,49 @@ class TestObjective:
                            match="^weight vector length does not match the source$"):
             objective(model, SourceWeights.uniform(source.n + 1, 3.0), problem)
 
+    @pytest.mark.parametrize("c1", [1.0, 0.0])
+    def test_overflowing_c2_rejected(self, c1):
+        # A zero feature column gives R exact zeros, where inf * 0 would be NaN.
+        source, target, _, _, graphs = random_instance(45)
+        target = DomainDataset(np.hstack([target.features, np.zeros((target.n, 1))]),
+                               target.labels)
+        source = DomainDataset(np.hstack([source.features, np.ones((source.n, 1))]),
+                               source.labels)
+        with pytest.raises(ValidationError, match="^c2 is too large"):
+            Problem(source, target, HyperParams(c1=c1, c2=1e308), *graphs)
+
     def test_graph_sizes_checked(self):
         source, target, _, _, graphs = random_instance(44, n1=8, n2=6)
         with pytest.raises(ValidationError,
                            match="^graph sizes do not match the datasets$"):
             Problem(source, target, HyperParams(), graphs[1], graphs[0])
+
+
+class TestHingeDual:
+    @pytest.mark.parametrize("p, m", [(30, 6), (5, 12), (0, 7)],
+                             ids=["m<n", "m>n", "empty"])
+    def test_lift_is_the_inverse_root(self, p, m):
+        rng = np.random.default_rng(50 + p)
+        curvature, hinge_rows = rng.standard_normal((p, m)), rng.standard_normal((9, m))
+        c1 = 0.3
+        values, vectors = np.linalg.eigh(c1 * np.eye(m) + curvature.T @ curvature)
+        root = (vectors / np.sqrt(values)) @ vectors.T
+        dual = HingeDual.build(hinge_rows, c1, curvature)
+        np.testing.assert_allclose(dual.lift(np.eye(m)), root, rtol=0.0, atol=1e-12)
+        for v in rng.standard_normal((3, m)):
+            np.testing.assert_allclose(dual.lift(v), root @ v, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dual.rows, hinge_rows @ root, rtol=0.0, atol=1e-12)
+
+    def test_problem_memory_is_linear_in_m(self):
+        import tracemalloc
+
+        source, target = generate_synthetic_pair(rotated_benchmark_spec(0, 200, 2000))
+        hp = HyperParams(r=3)
+        graphs = (build_graph(source, hp.k), build_graph(target, hp.k))
+        tracemalloc.start()
+        try:
+            Problem(source, target, hp, *graphs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # one dense 2000 x 2000 float64 array takes 32 MB

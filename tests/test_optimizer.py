@@ -673,14 +673,18 @@ class TestFit:
         with pytest.raises(ValidationError, match="^fit expects DomainDataset inputs$"):
             fit(source.features, target)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
     @pytest.mark.parametrize("draw", [0, 2])
-    def test_nan_dual_factor_falls_back_to_halving_search(self, draw):
-        # At c1 = 1e-14, eigh can give c1 I + 2 c2 R'R negative eigenvalues,
-        # so the target dual's factor holds NaN; its solve is uncertified and
-        # the block runs the halving search instead.
+    def test_tiny_c1_duals_are_finite(self, draw):
+        # At c1 = 1e-14 an eigendecomposition of c1 I + 2 c2 R'R gave negative
+        # eigenvalues and a NaN factor here. The duals built from the SVD of
+        # R stay finite and raise no RuntimeWarning; a solve they cannot
+        # certify still falls back to the halving search.
         source, target = generate_synthetic_pair(rotated_benchmark_spec(draw, 40, 60))
         hp = dataclasses.replace(benchmark_hyperparams(), c1=1e-14)
+        problem = Problem(source, target, hp,
+                          build_graph(source, hp.k), build_graph(target, hp.k))
+        for dual in (problem.source_dual, problem.target_dual):
+            assert all(np.all(np.isfinite(a)) for a in (dual.rows, dual.scale, dual.basis))
         state = fit(source, target, hp)
         assert state.iteration >= 2
         records = [e for e in state.substeps if e["step"] == "phi_psi"]
@@ -827,15 +831,15 @@ class TestFit:
 
     def test_theta_step_that_raises_the_objective_is_not_taken(self):
         # At 1e4 times the feature scale, rounding scores this draw's
-        # iteration-2 theta step 4.6e-8 above its incoming pair; taking it
-        # broke the monotone trace.
-        spec = rotated_benchmark_spec(1, samples=120, dim=6)
+        # iteration-2 theta step above its incoming pair; taking it would
+        # break the monotone trace.
+        spec = rotated_benchmark_spec(5, samples=120, dim=6)
         source, target, _ = synthetic_pair_with_hidden_labels(spec)
         source = DomainDataset(1e4 * source.features, source.labels)
         target = DomainDataset(1e4 * target.features, target.labels)
         state = fit(source, target, HyperParams(r=3, c2=100.0, c3=100.0))
         records = [e for e in state.substeps if e["step"] == "theta"]
-        assert [e["kept"] for e in records] == [False, True]
+        assert [e["kept"] for e in records[:2]] == [False, True]
         assert records[1]["after"] == records[1]["before"]
         assert all(np.diff(state.objective_trace) <= 0.0)
 

@@ -446,6 +446,11 @@ class ScaledOperator:
         return self.factor * self.operator.matvec(x)
 
 
+def hinge_gram(rows):
+    """The hinge-dual operator K K' for rows K: H = I, so ``rows`` stay K."""
+    return HingeDual.build(rows, 1.0, np.zeros((0, rows.shape[1])))
+
+
 class TestBoxQP:
     @pytest.mark.parametrize("seed", range(8))
     def test_box_kkt_on_low_rank_instances(self, seed):
@@ -453,7 +458,7 @@ class TestBoxQP:
         # coordinates pinned by a zero upper bound.
         rng = np.random.default_rng(600 + seed)
         n, m = int(rng.integers(2, 80)), int(rng.integers(1, 6))
-        hess = HingeDual(rng.standard_normal((n, m)), np.eye(m))
+        hess = hinge_gram(rng.standard_normal((n, m)))
         lin = rng.standard_normal(n)
         upper = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 3.0, n))
         start = rng.random(n) * upper
@@ -508,7 +513,7 @@ class TestBoxQP:
 
     def test_empty_box(self):
         # A target with no labeled rows gives its hinge dual no coordinates.
-        sol = solve_box_qp(HingeDual(np.zeros((0, 2)), np.eye(2)), [], [])
+        sol = solve_box_qp(hinge_gram(np.zeros((0, 2))), [], [])
         assert sol.x.shape == (0,) and sol.objective == 0.0
 
 
@@ -521,7 +526,7 @@ def planted_box_qp(seed, n, m, free, upper=None):
     (hess, lin, upper, planted point).
     """
     rng = np.random.default_rng(seed)
-    hess = HingeDual(rng.standard_normal((n, m)), np.eye(m))
+    hess = hinge_gram(rng.standard_normal((n, m)))
     if upper is None:
         upper = rng.uniform(0.5, 2.0, n)
     free = list(free)
