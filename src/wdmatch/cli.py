@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    DENSE_CSV, FORMATS, SPARSE_SVMLIGHT, SyntheticShiftSpec, generate_synthetic_pair,
-    load_dataset, load_json, save_dataset,
+    DENSE_CSV, FORMATS, SPARSE_SVMLIGHT, SyntheticShiftSpec, dataset_text,
+    generate_synthetic_pair, load_dataset, load_json, write_all,
 )
 from .errors import ConvergenceError, ValidationError
 from .evaluate import load_experiment_config, resolve_datasets, run_cv, write_report
@@ -85,24 +85,6 @@ def _load_config(args):
     return dataclasses.replace(config, **overrides)
 
 
-def _write_all(outputs: dict) -> None:
-    """Write every {path: text} output or none: each text goes to a temporary
-    file beside its target, and all are renamed once every one is written."""
-    staged = []
-    try:
-        for path, text in outputs.items():
-            if path.is_dir():  # renaming onto it would fail after the others
-                raise IsADirectoryError(f"Is a directory: '{path}'")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            staged.append(path.with_name(f".{path.name}.tmp"))
-            staged[-1].write_text(text, encoding="utf-8")
-        for temp, path in zip(staged, outputs):
-            temp.replace(path)
-    finally:
-        for temp in staged:
-            temp.unlink(missing_ok=True)
-
-
 def _cmd_fit(args) -> int:
     config = _load_config(args)
     source, target = resolve_datasets(config)
@@ -117,8 +99,8 @@ def _cmd_fit(args) -> int:
     outputs = {out: json.dumps(payload, indent=2) + "\n"}
     if args.trace_path:
         lines = [json.dumps(entry) for entry in state.term_trace]
-        outputs[Path(args.trace_path)] = "\n".join(lines) + "\n"
-    _write_all(outputs)
+        outputs[args.trace_path] = "\n".join(lines) + "\n"
+    write_all(outputs)
     print(f"fit: {state.iteration} iterations, "
           f"objective {state.objective_trace[-1]:.6g} -> {out}")
     return 0
@@ -140,25 +122,20 @@ def _cmd_synth(args) -> int:
     spec = load_json(args.spec, SyntheticShiftSpec)
     source, target = generate_synthetic_pair(spec)
     prefix = Path(args.out_prefix)
+    in_dir = args.out_prefix.endswith(("/", "\\")) or prefix.is_dir()
+    directory, stem = (prefix, "") if in_dir else (prefix.parent, prefix.name)
     suffix = ".svm" if args.format == SPARSE_SVMLIGHT else ".csv"
-    if args.out_prefix.endswith(("/", "\\")) or prefix.is_dir():
-        prefix.mkdir(parents=True, exist_ok=True)
-        source_path = prefix / ("source" + suffix)
-        target_path = prefix / ("target" + suffix)
-    else:
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        source_path = prefix.parent / (prefix.name + "source" + suffix)
-        target_path = prefix.parent / (prefix.name + "target" + suffix)
-    save_dataset(source, source_path, args.format)
-    save_dataset(target, target_path, args.format)
-    print(f"synth: wrote {source_path} and {target_path}")
+    paths = [directory / f"{stem}{role}{suffix}" for role in ("source", "target")]
+    write_all({path: dataset_text(dataset, args.format)
+               for path, dataset in zip(paths, (source, target))})
+    print(f"synth: wrote {paths[0]} and {paths[1]}")
     return 0
 
 
 def _cmd_dump_graph(args) -> int:
     dataset = load_dataset(args.data, args.format, n_features=args.n_features)
     graph = build_graph(dataset, args.k)
-    _write_all({Path(args.out): json.dumps(graph.to_json_dict(), indent=2) + "\n"})
+    write_all({args.out: json.dumps(graph.to_json_dict(), indent=2) + "\n"})
     print(f"dump-graph: wrote {args.out}")
     return 0
 

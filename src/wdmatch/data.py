@@ -242,15 +242,38 @@ def _label_token(value: float) -> str:
     return "1" if value > 0 else "-1"
 
 
+def write_all(outputs: dict) -> None:
+    """Write every {path: text} output or none: each text goes to a temporary file
+    beside its target, made with its directory; all are renamed once all are written."""
+    outputs = {Path(path): text for path, text in outputs.items()}
+    staged = []
+    try:
+        for path, text in outputs.items():
+            if path.is_dir():  # renaming onto it would fail after the others
+                raise IsADirectoryError(f"Is a directory: '{path}'")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            staged.append(path.with_name(f".{path.name}.tmp"))
+            staged[-1].write_text(text, encoding="utf-8")
+        for temp, path in zip(staged, outputs):
+            temp.replace(path)
+    finally:
+        for temp in staged:
+            temp.unlink(missing_ok=True)
+
+
 def save_dataset(dataset: DomainDataset, path, format: str) -> None:
-    """Write a dataset so ``load_dataset`` reproduces it exactly.
+    """Write the :func:`dataset_text` of a dataset to ``path``."""
+    write_all({path: dataset_text(dataset, format)})
+
+
+def dataset_text(dataset: DomainDataset, format: str) -> str:
+    """The file text of a dataset in ``format``; ``load_dataset`` reproduces it.
 
     Dense output is bit-identical on round-trip; sparse output drops explicit
     zeros, which reload as the same 0.0 values.
     """
     if format not in FORMATS:
         raise ValidationError(f"unknown format {format!r}; expected one of {FORMATS}")
-    path = Path(path)
     lines = []
     for i in range(dataset.n):
         token = (
@@ -265,7 +288,7 @@ def save_dataset(dataset: DomainDataset, path, format: str) -> None:
             cols = np.flatnonzero(row)
             cells = [f"{j + 1}:{v!r}" for j, v in zip(cols.tolist(), row[cols].tolist())]
             lines.append(" ".join([token] + cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

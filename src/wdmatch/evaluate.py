@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .data import (
     standardize_pair,
     synthetic_pair_with_hidden_labels,
     to_json,
+    write_all,
 )
 from .errors import ConfigError, ValidationError
 from .model import HyperParams, classify_target, hinge_losses, hinge_subgradient
@@ -238,6 +238,7 @@ def run_cv(config: ExperimentConfig) -> dict:
         for test_idx in folds
     ]
     if config.parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.parallel) as pool:
             fold_results = list(pool.map(_fold_worker, payloads))
     else:
@@ -269,15 +270,14 @@ def run_cv(config: ExperimentConfig) -> dict:
 
 
 def write_report(report: dict, path) -> None:
-    """Write the JSON report plus a flat method/fold/accuracy TSV next to it."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    """Write the JSON report and a flat method/fold/accuracy TSV beside it, or neither."""
     rows = ["method\tfold\taccuracy"]
     for method, entry in report["methods"].items():
         for fold, acc in enumerate(entry["fold_accuracies"]):
             rows.append(f"{method}\t{fold}\t{acc!r}")
-    path.with_suffix(".tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    path = Path(path)
+    write_all({path: json.dumps(report, indent=2) + "\n",
+               path.with_suffix(".tsv"): "\n".join(rows) + "\n"})
 
 
 # Rotated-Gaussian benchmark: a 30-degree rotation plus a mean shift along the

@@ -235,6 +235,14 @@ class TestFitCommand:
         assert err.startswith("error: feature index 4611686018427387904")
         assert "Traceback" not in err
 
+    def test_tiny_c1_exit_1(self, tmp_path, capsys):
+        # 1/sqrt(c1) is finite, but the scaled hinge rows overflow their products.
+        config = write_config(tmp_path, synthetic_payload(hyperparams={"c1": 5e-324}))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: c1 ") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
     def test_overflowing_c2_exit_1(self, tmp_path, capsys):
         # sqrt(2 c2) overflows, so the target dual's scaled residuals hold inf.
         config = write_config(tmp_path, synthetic_payload(hyperparams={"c2": 1e308}))
@@ -358,8 +366,8 @@ def test_non_utf8_file_exit_1(tmp_path, capsys, fmt, content, command):
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("command", ["fit-out", "fit-trace", "cv-out", "dump-graph-out",
-                                     "synth-prefix"])
+@pytest.mark.parametrize("command", ["fit-out", "fit-trace", "cv-out", "cv-tsv",
+                                     "dump-graph-out", "synth-prefix", "synth-target"])
 def test_unwritable_output_exit_1(tmp_path, capsys, command):
     spec = write_config(tmp_path, synthetic_payload()["synthetic"], "spec.json")
     assert main(["synth", "--spec", str(spec), "--out-prefix", f"{tmp_path}/"]) == 0
@@ -367,14 +375,18 @@ def test_unwritable_output_exit_1(tmp_path, capsys, command):
     config = str(write_config(tmp_path, synthetic_payload()))
     taken = tmp_path / "taken"
     taken.mkdir()
+    (tmp_path / "r.tsv").mkdir()
+    (tmp_path / "out" / "target.csv").mkdir(parents=True)
     argv = {
         "fit-out": ["fit", "--config", config, "--out", str(taken)],
         "fit-trace": ["fit", "--config", config, "--out", str(tmp_path / "m.json"),
                       "--trace", str(taken)],
         "cv-out": ["cv", "--config", config, "--out", str(taken)],
+        "cv-tsv": ["cv", "--config", config, "--out", str(tmp_path / "r.json")],
         "dump-graph-out": ["dump-graph", "--data", str(tmp_path / "source.csv"),
                            "--out", str(taken)],
         "synth-prefix": ["synth", "--spec", str(spec), "--out-prefix", f"{spec}/"],
+        "synth-target": ["synth", "--spec", str(spec), "--out-prefix", f"{tmp_path}/out/"],
     }[command]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -382,3 +394,8 @@ def test_unwritable_output_exit_1(tmp_path, capsys, command):
     assert ("File exists" if command == "synth-prefix" else "Is a directory") in err
     # A fit whose trace cannot be written leaves no model (nor temporary file).
     assert sorted(p.name for p in tmp_path.glob("*m.json*")) == []
+    # A report whose TSV cannot be written leaves no JSON, a pair whose target
+    # file cannot be written no source file, and no command a temporary file.
+    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "out" / "source.csv").exists()
+    assert list(tmp_path.rglob(".*.tmp")) == []
