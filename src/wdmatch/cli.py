@@ -96,10 +96,10 @@ def _cmd_fit(args) -> int:
         "objective_trace": list(state.objective_trace),
         "iterations": state.iteration,
     }
-    outputs = {out: json.dumps(payload, indent=2) + "\n"}
+    outputs = [(out, json.dumps(payload, indent=2) + "\n")]
     if args.trace_path:
         lines = [json.dumps(entry) for entry in state.term_trace]
-        outputs[args.trace_path] = "\n".join(lines) + "\n"
+        outputs.append((args.trace_path, "\n".join(lines) + "\n"))
     write_all(outputs)
     print(f"fit: {state.iteration} iterations, "
           f"objective {state.objective_trace[-1]:.6g} -> {out}")
@@ -126,8 +126,8 @@ def _cmd_synth(args) -> int:
     directory, stem = (prefix, "") if in_dir else (prefix.parent, prefix.name)
     suffix = ".svm" if args.format == SPARSE_SVMLIGHT else ".csv"
     paths = [directory / f"{stem}{role}{suffix}" for role in ("source", "target")]
-    write_all({path: dataset_text(dataset, args.format)
-               for path, dataset in zip(paths, (source, target))})
+    write_all((path, dataset_text(dataset, args.format))
+              for path, dataset in zip(paths, (source, target)))
     print(f"synth: wrote {paths[0]} and {paths[1]}")
     return 0
 
@@ -135,7 +135,7 @@ def _cmd_synth(args) -> int:
 def _cmd_dump_graph(args) -> int:
     dataset = load_dataset(args.data, args.format, n_features=args.n_features)
     graph = build_graph(dataset, args.k)
-    write_all({args.out: json.dumps(graph.to_json_dict(), indent=2) + "\n"})
+    write_all([(args.out, json.dumps(graph.to_json_dict(), indent=2) + "\n")])
     print(f"dump-graph: wrote {args.out}")
     return 0
 

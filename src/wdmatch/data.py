@@ -242,19 +242,22 @@ def _label_token(value: float) -> str:
     return "1" if value > 0 else "-1"
 
 
-def write_all(outputs: dict) -> None:
-    """Write every {path: text} output or none: each text goes to a temporary file
-    beside its target, made with its directory; all are renamed once all are written."""
-    outputs = {Path(path): text for path, text in outputs.items()}
+def write_all(outputs) -> None:
+    """Write every (path, text) output or none: each text goes to a temporary file
+    beside its target, made with its directory; all are renamed once all are
+    written. Outputs that resolve to one file are refused before any is staged."""
+    outputs = [(Path(path), text) for path, text in outputs]
+    if len({path.resolve() for path, _ in outputs}) < len(outputs):
+        raise ValidationError("two outputs name one file")
     staged = []
     try:
-        for path, text in outputs.items():
+        for path, text in outputs:
             if path.is_dir():  # renaming onto it would fail after the others
                 raise IsADirectoryError(f"Is a directory: '{path}'")
             path.parent.mkdir(parents=True, exist_ok=True)
             staged.append(path.with_name(f".{path.name}.tmp"))
             staged[-1].write_text(text, encoding="utf-8")
-        for temp, path in zip(staged, outputs):
+        for temp, (path, _) in zip(staged, outputs):
             temp.replace(path)
     finally:
         for temp in staged:
@@ -263,7 +266,7 @@ def write_all(outputs: dict) -> None:
 
 def save_dataset(dataset: DomainDataset, path, format: str) -> None:
     """Write the :func:`dataset_text` of a dataset to ``path``."""
-    write_all({path: dataset_text(dataset, format)})
+    write_all([(path, dataset_text(dataset, format))])
 
 
 def dataset_text(dataset: DomainDataset, format: str) -> str:

@@ -276,8 +276,8 @@ def write_report(report: dict, path) -> None:
         for fold, acc in enumerate(entry["fold_accuracies"]):
             rows.append(f"{method}\t{fold}\t{acc!r}")
     path = Path(path)
-    write_all({path: json.dumps(report, indent=2) + "\n",
-               path.with_suffix(".tsv"): "\n".join(rows) + "\n"})
+    write_all([(path, json.dumps(report, indent=2) + "\n"),
+               (path.with_suffix(".tsv"), "\n".join(rows) + "\n")])
 
 
 # Rotated-Gaussian benchmark: a 30-degree rotation plus a mean shift along the

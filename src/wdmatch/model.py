@@ -304,8 +304,9 @@ class Problem:
     ``target_dual`` for psi (labeled target rows, H = c1 I + 2 c2 R'R, S =
     sqrt(2 c2) R with R the residual matrix). At c1 = 0 neither H is positive
     definite and both are None. A c2 for which sqrt(2 c2) R overflows is
-    rejected at every c1, and a c1 > 0 for which the square of the largest
-    hinge row entry over sqrt(c1) overflows is rejected too.
+    rejected at every c1, and so is a c1 > 0 for which p s^3 overflows: for p
+    hinge rows of m entries at most g, s = p m g^2 / c1 bounds the duals'
+    Hessians and gradients, and p s^3 GPCG's curvature products.
     """
 
     source: DomainDataset
@@ -339,12 +340,13 @@ class Problem:
             raise ValidationError("c2 is too large: sqrt(2 c2) R overflows")
         source_dual = target_dual = None
         if self.hp.c1 > 0.0:
-            scaled = max(float(np.abs(source.features).max()),
-                         float(np.abs(target.labeled_features).max(initial=0.0)))
-            scaled /= float(np.sqrt(self.hp.c1))
-            if not np.isfinite(scaled * scaled):
-                raise ValidationError("c1 is too small: the hinge rows scaled by "
-                                      "1/sqrt(c1) overflow their products")
+            rows = max(source.n, target.labeled_count)
+            entry = max(float(np.abs(source.features).max()),
+                        float(np.abs(target.labeled_features).max(initial=0.0)))
+            norm = rows * source.dim * entry * entry / self.hp.c1  # float: inf, no warning
+            if not np.isfinite(rows * norm * norm * norm):
+                raise ValidationError("c1 is too small: the hinge duals' curvature "
+                                      "products overflow")
             source_dual = HingeDual.build(source.labels[:, None] * source.features,
                                           self.hp.c1, np.zeros((0, source.dim)))
             target_dual = HingeDual.build(target.labels[:, None] * target.labeled_features,

@@ -11,12 +11,14 @@ gradient steps change many bounds at once, and conjugate gradients then
 minimize over the face those steps settle on. One projected Armijo search
 serves both phases: the gradient steps, and the last CG step on a face when
 it would leave the box. One KKT certificate serves both the stop test of
-each round and the final check. It is all built on the exact projection onto
-the feasible set. The sum constraint is read from ``problem.equalities`` in
-several places. Without it the projection is a clip; the multiplier, the
-:func:`_centre` shift and :func:`_sum_gap` are 0; :func:`_interior_start`
-starts at the box centre; and :func:`_gradient_projection` and
-:func:`_face_cg` also move a face of one coordinate, which the sum would pin.
+each round and the final check. :func:`_gpcg` hands both phases one
+``matvec`` that counts its products into :attr:`QPSolution.iterations`. It is
+all built on the exact projection onto the feasible set. The sum constraint
+is read from ``problem.equalities`` in several places. Without it the
+projection is a clip; the multiplier, the :func:`_centre` shift and
+:func:`_sum_gap` are 0; :func:`_interior_start` starts at the box centre; and
+:func:`_gradient_projection` and :func:`_face_cg` also move a face of one
+coordinate, which the sum would pin.
 """
 
 from __future__ import annotations
@@ -99,12 +101,9 @@ class BoxEqQP:
 class QPSolution:
     """Solver output: feasible point, objective value and a KKT certificate.
 
-    ``iterations`` counts the Hessian products of CG steps and of the search
-    trials that descend (a trial that does not descend costs no product), the
-    true gradient and the bound step that end CG at the edge of its face. Not
-    counted are the gradient each GPCG round starts from, the final
-    certificate's gradient and the two objective evaluations (start and end),
-    which add one product per round and three per solve.
+    ``iterations`` counts the Hessian products of GPCG's two phases. Not
+    counted are the KKT certificates' gradients and the two objective
+    evaluations, which add one product per round and three per solve.
     """
 
     x: np.ndarray
@@ -292,29 +291,32 @@ def _gpcg(problem, x):
     back to CG on the smaller face: bounds are released only by projected
     gradient steps taken where CG stopped inside its face, so ill-conditioned
     faces cannot make a bound zigzag on and off. Returns the final point and
-    the number of Hessian products.
+    the count of the phases' ``matvec``.
     """
+    products = 0
+
+    def matvec(v):
+        nonlocal products
+        products += 1
+        return problem.hess.matvec(v)
+
     lower, upper = problem.lower, problem.upper
     max_iter = 50 * problem.n
-    iterations = 0
     blocked = False
     snap = 1e-12 * np.maximum(1.0, upper - lower)
-    while iterations < max_iter:
+    while products < max_iter:
         x = np.where(x - lower <= snap, lower, x)
         x = np.where(upper - x <= snap, upper, x)
         free_gap, wrong_sign, grad, scale = _certificate(problem, x, x <= lower, x >= upper)
         if free_gap <= _STAT_TOL * scale and wrong_sign <= _MULT_TOL * scale:
             break
-        before, projected = x, not blocked
-        changed = False
+        before, projected, changed = x, not blocked, False
         if projected:
-            x, grad, steps, changed = _gradient_projection(problem, x, grad)
-            iterations += steps
-        x, steps, blocked = _face_cg(problem, x, grad, _STAT_TOL * scale, changed)
-        iterations += steps
+            x, grad, changed = _gradient_projection(problem, matvec, x, grad)
+        x, blocked = _face_cg(problem, matvec, x, grad, _STAT_TOL * scale, changed)
         if projected and np.array_equal(x, before):
             break
-    return x, iterations
+    return x, products
 
 
 def _binding(x, lower, upper) -> np.ndarray:
@@ -329,10 +331,9 @@ def _projected_search(x, direction, alpha, grad, matvec, lower, upper, total, fl
     None. Trials halve alpha while it exceeds ``floor``, at most
     ``_SEARCH_HALVINGS`` of them. A trial's slope is taken along ``grad``,
     and only a trial that descends costs a product with ``matvec``. Returns
-    the point, its step's Hessian product, its gain and the products used;
-    the point is None when no trial passes or one does not move.
+    the point, its step's Hessian product and its gain; the point is None
+    when no trial passes or one does not move.
     """
-    products = 0
     for _ in range(_SEARCH_HALVINGS):
         if alpha <= floor:
             break
@@ -343,29 +344,27 @@ def _projected_search(x, direction, alpha, grad, matvec, lower, upper, total, fl
         slope = float(grad @ step)
         if slope < 0.0:
             h_step = matvec(step)
-            products += 1
             gain = -(slope + 0.5 * float(step @ h_step))
             if gain >= -_ARMIJO * slope:
-                return candidate, h_step, gain, products
+                return candidate, h_step, gain
         alpha *= 0.5
-    return None, None, 0.0, products
+    return None, None, 0.0
 
 
-def _gradient_projection(problem, x, grad):
+def _gradient_projection(problem, matvec, x, grad):
     """Projected gradient steps until the binding set settles or progress stalls.
 
     Each step searches the projected path P(x - alpha grad), from the exact
     line minimizer along the steepest feasible direction; many bounds can
     change in one step. At most ``_GP_STEPS`` steps are taken: on an
     ill-conditioned problem they crawl, and CG on the current face does
-    better. Returns the point, its gradient, the Hessian products used and
-    whether the binding set changed.
+    better. Returns x, its gradient and whether the binding set changed.
     """
     lower, upper, target = problem.lower, problem.upper, problem.eq_target
     movable = upper > lower
     width = float(np.max(upper - lower))
     start = _binding(x, lower, upper)
-    steps, best = 0, 0.0
+    best = 0.0
     for _ in range(_GP_STEPS):
         at_lo, at_up = x <= lower, x >= upper
         free = ~(at_lo | at_up)
@@ -379,8 +378,7 @@ def _gradient_projection(problem, x, grad):
         top = float(np.max(np.abs(descent)))
         if top == 0.0:
             break
-        curvature = float(descent @ problem.hess.matvec(descent))
-        steps += 1
+        curvature = float(descent @ matvec(descent))
         alpha = _REACH * width / top
         if curvature > 0.0:
             alpha = min(alpha, float(descent @ descent) / curvature)
@@ -389,10 +387,9 @@ def _gradient_projection(problem, x, grad):
         # uses it too: the projection also undoes the rounding drift of
         # sum(x), which would add pivot * drift to a slope along grad.
         shifted = grad - pivot
-        candidate, h_step, gain, products = _projected_search(
-            x, -shifted, alpha, shifted, problem.hess.matvec, lower, upper, target, 0.0
+        candidate, h_step, gain = _projected_search(
+            x, -shifted, alpha, shifted, matvec, lower, upper, target, 0.0
         )
-        steps += products
         if candidate is None:
             break
         previous = _binding(x, lower, upper)
@@ -401,23 +398,23 @@ def _gradient_projection(problem, x, grad):
         settled = np.array_equal(previous, _binding(x, lower, upper))
         if settled or gain <= _PROGRESS * best:
             break
-    return x, grad, steps, not np.array_equal(start, _binding(x, lower, upper))
+    return x, grad, not np.array_equal(start, _binding(x, lower, upper))
 
 
-def _face_product(problem, free):
-    """d -> (H d')[free] on the face of the indices ``free``, with d' equal to d
-    there and 0 elsewhere: the product itself on a face of every coordinate."""
-    if free.size == problem.n:
-        return problem.hess.matvec
-    full = np.zeros(problem.n)
+def _face_product(matvec, n, free):
+    """d -> (H d')[free] on the face of the indices ``free`` of n, with d' equal
+    to d there and 0 elsewhere: ``matvec`` itself on a face of every coordinate."""
+    if free.size == n:
+        return matvec
+    full = np.zeros(n)
 
     def face_matvec(d):
         full[free] = d
-        return problem.hess.matvec(full)[free]
+        return matvec(full)[free]
     return face_matvec
 
 
-def _face_cg(problem, x, grad, tol, early_stop):
+def _face_cg(problem, matvec, x, grad, tol, early_stop):
     """Conjugate gradients over the free coordinates of x, at fixed sum if the
     problem has a sum constraint.
 
@@ -432,19 +429,18 @@ def _face_cg(problem, x, grad, tol, early_stop):
     ill-conditioned face, and the bound step is not taken when it does not
     descend. Bound coordinates stay where they are, so CG adds bounds and
     never releases one. A face of one coordinate is worked on too unless the
-    sum pins it. Returns the point, the number of Hessian products and
-    whether CG ended at a bound.
+    sum pins it. Returns the point and whether CG ended at a bound.
     """
     lower, upper = problem.lower, problem.upper
     free = np.flatnonzero((x > lower) & (x < upper))
     if free.size <= problem.equalities:
-        return x, 0, False
+        return x, False
     xf, lo, up = x[free], lower[free], upper[free]
     face_grad = grad[free]
     resid = _centre(problem, face_grad) - face_grad
     direction = resid.copy()
     rr = float(resid @ resid)
-    face_matvec = _face_product(problem, free)
+    face_matvec = _face_product(matvec, problem.n, free)
     steps, best = 0, 0.0
     while rr > tol * tol and steps < 2 * free.size + 10:
         h_dir = face_matvec(direction)
@@ -459,23 +455,21 @@ def _face_cg(problem, x, grad, tol, early_stop):
         if alpha >= room[blocker]:
             x = x.copy()
             x[free] = xf
-            face_grad = (problem.hess.matvec(x) + problem.lin)[free]
+            face_grad = (matvec(x) + problem.lin)[free]
             reach = _REACH * float(np.max(up - lo)) / float(np.max(np.abs(direction)))
-            moved, _, _, products = _projected_search(
+            moved, _, _ = _projected_search(
                 xf, direction, min(alpha, reach) if curvature > 0.0 else 0.0,
                 face_grad, face_matvec, lo, up,
                 xf.sum() if problem.equalities else None, room[blocker],
             )
-            steps += 1 + products
             if moved is None:
                 moved = np.clip(xf + room[blocker] * direction, lo, up)
                 moved[blocker] = up[blocker] if direction[blocker] > 0.0 else lo[blocker]
                 step = moved - xf
-                steps += 1
                 if float(face_grad @ step) + 0.5 * float(step @ face_matvec(step)) >= 0.0:
-                    return x, steps, False
+                    return x, False
             x[free] = moved
-            return x, steps, True
+            return x, True
         xf = xf + alpha * direction
         resid -= alpha * h_dir
         resid -= _centre(problem, resid)
@@ -489,4 +483,4 @@ def _face_cg(problem, x, grad, tol, early_stop):
             break
     x = x.copy()
     x[free] = np.clip(xf, lo, up)
-    return x, steps, False
+    return x, False

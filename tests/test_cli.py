@@ -235,9 +235,12 @@ class TestFitCommand:
         assert err.startswith("error: feature index 4611686018427387904")
         assert "Traceback" not in err
 
-    def test_tiny_c1_exit_1(self, tmp_path, capsys):
-        # 1/sqrt(c1) is finite, but the scaled hinge rows overflow their products.
-        config = write_config(tmp_path, synthetic_payload(hyperparams={"c1": 5e-324}))
+    @pytest.mark.parametrize("c1", [5e-324, 1e-200, 1e-300],
+                             ids=["5e-324", "1e-200", "1e-300"])
+    def test_tiny_c1_exit_1(self, tmp_path, capsys, c1):
+        # 1/sqrt(c1) is finite, but the hinge duals' products overflow: at
+        # 5e-324 in the scaled rows, at 1e-200 and 1e-300 in GPCG's curvature.
+        config = write_config(tmp_path, synthetic_payload(hyperparams={"c1": c1}))
         assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: c1 ") and err.count("\n") == 1
@@ -399,3 +402,19 @@ def test_unwritable_output_exit_1(tmp_path, capsys, command):
     assert not (tmp_path / "r.json").exists()
     assert not (tmp_path / "out" / "source.csv").exists()
     assert list(tmp_path.rglob(".*.tmp")) == []
+
+
+@pytest.mark.parametrize("outputs", [
+    ["fit", "--out", "m.json", "--trace", "m.json"],
+    ["cv", "--out", "r.tsv"],  # the TSV beside the report is r.tsv too
+    ["fit", "--out", "d/m.json", "--trace", "d/../d/m.json"],
+], ids=["fit-trace", "cv-tsv", "fit-dotdot"])
+def test_outputs_naming_one_file_exit_1(tmp_path, capsys, monkeypatch, outputs):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, synthetic_payload())
+    command, *paths = outputs
+    assert main([command, "--config", str(config), *paths]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: two outputs name one file") and err.count("\n") == 1
+    # Refused before anything is staged: no output, directory or temporary file.
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

@@ -26,6 +26,33 @@ def random_problem(seed, n=6, ridge=0.3):
     return BoxEqQP(MatrixOperator(hess), lin, lower, upper, target)
 
 
+def low_rank_box_problem(seed, n=8, m=3):
+    """A box-only QP whose Hessian K K' has rank m < n, so CG meets flat faces."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, m))
+    lin = rng.standard_normal(n)
+    upper = rng.uniform(0.5, 2.0, n)
+    return BoxEqQP(MatrixOperator(rows @ rows.T), lin, np.zeros(n), upper, None)
+
+
+class TestProductCount:
+    """``QPSolution.iterations`` of cold solves on fixed small QPs, exactly.
+
+    Between them the solves take projected gradient steps, end CG through its
+    projected search, and (the box-only one) end it through the bound step
+    that follows a search with no point. A product left uncounted, or counted
+    twice, changes a figure (measured with numpy 2.4.6 and OpenBLAS on x86-64).
+    """
+
+    @pytest.mark.parametrize("problem, products", [
+        (lambda: random_problem(3), 8),
+        (lambda: random_problem(39), 14),
+        (lambda: low_rank_box_problem(8), 28),
+    ], ids=["sum-3", "sum-39", "box-8"])
+    def test_hessian_products(self, problem, products):
+        assert solve_qp(problem()).iterations == products
+
+
 class TestProblemValidation:
     def test_array_hessian_rejected(self):
         with pytest.raises(ValidationError, match="matvec"):
