@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError, settle
 
 UNLABELED_TOKEN = "?"
 
@@ -40,24 +40,18 @@ class DomainDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64, copy=True)
-        if feats.ndim != 2:
+        settle(self, features=np.array(self.features, dtype=np.float64),
+               labels=np.array(self.labels, dtype=np.float64).reshape(-1))
+        if self.features.ndim != 2:
             raise ValidationError("features must be a 2-D matrix")
-        if feats.shape[1] < 1:
+        if self.dim < 1:
             raise ValidationError("feature dimension must be at least 1")
-        if not np.all(np.isfinite(feats)):
+        if not np.all(np.isfinite(self.features)):
             raise ValidationError("features contain non-finite values")
-        labs = np.array(self.labels, dtype=np.float64, copy=True).reshape(-1)
-        if labs.size > feats.shape[0]:
-            raise ValidationError(
-                f"{labs.size} labels for {feats.shape[0]} rows"
-            )
-        if labs.size and not np.all(np.isin(labs, (1.0, -1.0))):
+        if self.labeled_count > self.n:
+            raise ValidationError(f"{self.labeled_count} labels for {self.n} rows")
+        if self.labeled_count and not np.all(np.isin(self.labels, (1.0, -1.0))):
             raise ValidationError("labels must be +1 or -1")
-        feats.flags.writeable = False
-        labs.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
 
     @property
     def n(self) -> int:
@@ -330,7 +324,7 @@ class SyntheticShiftSpec:
                     f"translation has length {vec.size}, expected {self.dim}"
                 )
             shift = vec
-        object.__setattr__(self, "translation", tuple(float(v) for v in shift))
+        settle(self, translation=tuple(float(v) for v in shift))
 
 
 # The JSON values a field of each type takes, and how an error names them. bool

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`settle`, the one way
+a frozen record stores its normalized fields."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -27,3 +30,16 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
+
+
+def settle(record, **values):
+    """Store ``values`` as fields of the frozen dataclass ``record``.
+
+    An array value becomes read-only, so a record built from fresh arrays
+    (``np.array`` copies its input) is immutable; ``__post_init__`` calls this
+    before it validates the stored fields.
+    """
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(record, name, value)

@@ -25,7 +25,7 @@ from .data import (
     to_json,
     write_all,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, settle
 from .model import HyperParams, classify_target, hinge_losses, hinge_subgradient
 from .optimizer import fit, halving_descent
 
@@ -129,7 +129,7 @@ class ExperimentConfig:
                 )
             if name not in normalized:
                 normalized.append(name)
-        object.__setattr__(self, "baselines", tuple(normalized))
+        settle(self, baselines=tuple(normalized))
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -239,7 +239,7 @@ def run_cv(config: ExperimentConfig) -> dict:
     ]
     if config.parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.parallel, len(payloads))) as pool:
             fold_results = list(pool.map(_fold_worker, payloads))
     else:
         fold_results = [_fold_worker(p) for p in payloads]

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import DomainDataset
-from .errors import ValidationError
+from .errors import ValidationError, settle
 from .neighborhood import NeighborhoodGraph
 
 _ORTH_TOL = 1e-8
@@ -37,31 +37,25 @@ class TransferModel:
     psi: np.ndarray
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=np.float64, copy=True)
-        w = np.array(self.w, dtype=np.float64, copy=True).reshape(-1)
-        phi = np.array(self.phi, dtype=np.float64, copy=True).reshape(-1)
-        psi = np.array(self.psi, dtype=np.float64, copy=True).reshape(-1)
-        if theta.ndim != 2:
+        settle(self, theta=np.array(self.theta, dtype=np.float64),
+               w=np.array(self.w, dtype=np.float64).reshape(-1),
+               phi=np.array(self.phi, dtype=np.float64).reshape(-1),
+               psi=np.array(self.psi, dtype=np.float64).reshape(-1))
+        if self.theta.ndim != 2:
             raise ValidationError("theta must be an r x m matrix")
-        r, m = theta.shape
+        r, m = self.r, self.m
         if not 1 <= r <= m:
             raise ValidationError(f"need 1 <= r <= m, got r={r}, m={m}")
-        if w.size != r or phi.size != m or psi.size != m:
+        if self.w.size != r or self.phi.size != m or self.psi.size != m:
             raise ValidationError("parameter vector sizes do not match theta")
-        for arr in (theta, w, phi, psi):
+        for arr in (self.theta, self.w, self.phi, self.psi):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("model parameters must be finite")
-        gram_gap = orthonormal_gap(theta)
+        gram_gap = orthonormal_gap(self.theta)
         if gram_gap > _ORTH_TOL:
             raise ValidationError(
                 f"theta rows are not orthonormal (max deviation {gram_gap:.3e})"
             )
-        for arr in (theta, w, phi, psi):
-            arr.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
 
     @property
     def r(self) -> int:
@@ -119,14 +113,12 @@ class SourceWeights:
     delta: float
 
     def __post_init__(self):
-        pi = np.array(self.pi, dtype=np.float64, copy=True).reshape(-1)
-        if pi.size == 0:
+        settle(self, pi=np.array(self.pi, dtype=np.float64).reshape(-1),
+               delta=float(self.delta))
+        if self.pi.size == 0:
             raise ValidationError("pi must be non-empty")
         if self.delta < 1.0:
             raise ValidationError("delta must be at least 1 for feasibility")
-        pi.flags.writeable = False
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "delta", float(self.delta))
         if self.bound_gap > 1e-9:
             raise ValidationError("pi violates its box bounds")
         if self.sum_gap > 1e-6:
@@ -306,7 +298,10 @@ class Problem:
     definite and both are None. A c2 for which sqrt(2 c2) R overflows is
     rejected at every c1, and so is a c1 > 0 for which p s^3 overflows: for p
     hinge rows of m entries at most g, s = p m g^2 / c1 bounds the duals'
-    Hessians and gradients, and p s^3 GPCG's curvature products.
+    Hessians and gradients, and p s^3 GPCG's curvature products. Likewise a c3
+    for which n s^3 overflows is rejected, with s = c3 m g^2 min(delta, n) for
+    g the largest feature entry of either domain: it bounds the pi QP's
+    mean-matching curvature and gradient over n source points.
     """
 
     source: DomainDataset
@@ -329,15 +324,18 @@ class Problem:
             raise ValidationError("source and target dimensions differ")
         if not source.is_fully_labeled():
             raise ValidationError("source domain must be fully labeled")
-        residuals = self.target_graph.residual(target.features)
-        target_mean = target.features.mean(axis=0)
-        for arr in (residuals, target_mean):
-            arr.flags.writeable = False
-        object.__setattr__(self, "residuals", residuals)
-        object.__setattr__(self, "target_mean", target_mean)
+        settle(self, residuals=self.target_graph.residual(target.features),
+               target_mean=target.features.mean(axis=0))
         c2_root = float(np.sqrt(2.0 * self.hp.c2))
-        if not np.isfinite(c2_root * float(np.abs(residuals).max())):
+        if not np.isfinite(c2_root * float(np.abs(self.residuals).max())):
             raise ValidationError("c2 is too large: sqrt(2 c2) R overflows")
+        entry = max(float(np.abs(source.features).max()),
+                    float(np.abs(target.features).max()))
+        scale = float(self.hp.c3) * min(float(self.hp.delta), source.n)
+        scale = scale * source.dim * entry * entry  # float: inf, no warning
+        if not np.isfinite(source.n * scale * scale * scale):
+            raise ValidationError("c3 is too large: the instance-weight QP's curvature "
+                                  "products overflow")
         source_dual = target_dual = None
         if self.hp.c1 > 0.0:
             rows = max(source.n, target.labeled_count)
@@ -350,9 +348,8 @@ class Problem:
             source_dual = HingeDual.build(source.labels[:, None] * source.features,
                                           self.hp.c1, np.zeros((0, source.dim)))
             target_dual = HingeDual.build(target.labels[:, None] * target.labeled_features,
-                                          self.hp.c1, c2_root * residuals)
-        object.__setattr__(self, "source_dual", source_dual)
-        object.__setattr__(self, "target_dual", target_dual)
+                                          self.hp.c1, c2_root * self.residuals)
+        settle(self, source_dual=source_dual, target_dual=target_dual)
 
     def source_mean(self, pi: np.ndarray) -> np.ndarray:
         """The pi-weighted raw source mean X' pi / n."""

@@ -22,7 +22,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .data import DomainDataset
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, settle
 from .qp import solve_qp  # noqa: F401  # unused; the benchmark tracer wraps it
 
 _GRAM_RIDGE = 1e-10
@@ -43,25 +43,20 @@ class NeighborhoodGraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        nbrs = np.array(self.neighbors, dtype=np.int64, copy=True)
-        wts = np.array(self.weights, dtype=np.float64, copy=True)
-        if nbrs.ndim != 2 or nbrs.shape != wts.shape:
+        settle(self, neighbors=np.array(self.neighbors, dtype=np.int64),
+               weights=np.array(self.weights, dtype=np.float64))
+        if self.neighbors.ndim != 2 or self.neighbors.shape != self.weights.shape:
             raise ValidationError("neighbors and weights must share an (n, k) shape")
-        n = nbrs.shape[0]
-        if nbrs.shape[1] < 1:
+        if self.k < 1:
             raise ValidationError("graph must have at least one neighbor per point")
-        if np.any(nbrs < 0) or np.any(nbrs >= n):
+        if np.any(self.neighbors < 0) or np.any(self.neighbors >= self.n):
             raise ValidationError("neighbor index out of range")
-        if np.any(nbrs == np.arange(n)[:, None]):
+        if np.any(self.neighbors == np.arange(self.n)[:, None]):
             raise ValidationError("a point may not neighbor itself")
-        if np.any(wts < 0.0):
+        if np.any(self.weights < 0.0):
             raise ValidationError("reconstruction weights must be nonnegative")
-        if np.max(np.abs(wts.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
+        if np.max(np.abs(self.weights.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
             raise ValidationError("reconstruction weights must sum to 1 per point")
-        nbrs.flags.writeable = False
-        wts.flags.writeable = False
-        object.__setattr__(self, "neighbors", nbrs)
-        object.__setattr__(self, "weights", wts)
 
     @property
     def n(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DomainDataset
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, settle
 from .model import (
     HingeDual,
     HyperParams,
@@ -64,14 +64,12 @@ class OptState:
     term_trace: tuple = ()
 
     def __post_init__(self):
-        trace = tuple(float(v) for v in self.objective_trace)
-        if not trace:
+        settle(self, objective_trace=tuple(float(v) for v in self.objective_trace),
+               substeps=tuple(self.substeps), term_trace=tuple(self.term_trace))
+        if not self.objective_trace:
             raise ValidationError("objective trace may not be empty")
-        if np.any(np.diff(trace) > 0.0):
+        if np.any(np.diff(self.objective_trace) > 0.0):
             raise ValidationError("objective trace increased")
-        object.__setattr__(self, "objective_trace", trace)
-        object.__setattr__(self, "substeps", tuple(self.substeps))
-        object.__setattr__(self, "term_trace", tuple(self.term_trace))
 
 
 def halving_descent(value, gradient, params: tuple, iters: int, rho: float) -> tuple:

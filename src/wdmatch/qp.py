@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleProblemError, ValidationError
+from .errors import ConvergenceError, InfeasibleProblemError, ValidationError, settle
 
 _FEAS_TOL = 1e-12
 _KKT_LIMIT = 1e-6
@@ -59,29 +59,22 @@ class BoxEqQP:
     eq_target: float | None
 
     def __post_init__(self):
-        lin = np.array(self.lin, dtype=np.float64, copy=True).reshape(-1)
-        lower = np.array(self.lower, dtype=np.float64, copy=True).reshape(-1)
-        upper = np.array(self.upper, dtype=np.float64, copy=True).reshape(-1)
-        n = lin.size
+        settle(self, lin=np.array(self.lin, dtype=np.float64).reshape(-1),
+               lower=np.array(self.lower, dtype=np.float64).reshape(-1),
+               upper=np.array(self.upper, dtype=np.float64).reshape(-1),
+               eq_target=None if self.eq_target is None else float(self.eq_target))
         if not hasattr(self.hess, "matvec"):
             raise ValidationError("hess must be an operator with a matvec method")
-        if lower.size != n or upper.size != n:
+        if self.lower.size != self.n or self.upper.size != self.n:
             raise ValidationError("bound vectors must match the problem size")
-        if np.any(lower > upper):
+        if np.any(self.lower > self.upper):
             raise ValidationError("lower bound exceeds upper bound")
         if self.eq_target is not None:
-            target = float(self.eq_target)
-            slack = _FEAS_TOL * max(1.0, abs(target))
-            if not lower.sum() - slack <= target <= upper.sum() + slack:
+            slack = _FEAS_TOL * max(1.0, abs(self.eq_target))
+            if not self.lower.sum() - slack <= self.eq_target <= self.upper.sum() + slack:
                 raise InfeasibleProblemError(
                     "sum constraint is unreachable within the bounds"
                 )
-            object.__setattr__(self, "eq_target", target)
-        for arr in (lin, lower, upper):
-            arr.flags.writeable = False
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def n(self) -> int:
@@ -112,9 +105,7 @@ class QPSolution:
     kkt_residual: float
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=np.float64, copy=True)
-        x.flags.writeable = False
-        object.__setattr__(self, "x", x)
+        settle(self, x=np.array(self.x, dtype=np.float64))
 
 
 def _interior_start(problem: BoxEqQP) -> np.ndarray:

@@ -254,6 +254,15 @@ class TestFitCommand:
         assert err.startswith("error: c2 ") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("c3", [1e150, 1e300], ids=["1e150", "1e300"])
+    def test_overflowing_c3_exit_1(self, tmp_path, capsys, c3):
+        # The instance-weight QP's mean-matching products overflow inside GPCG.
+        config = write_config(tmp_path, synthetic_payload(hyperparams={"c3": c3}))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: c3 ") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
     def test_linear_algebra_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         def diverged(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import json
 
@@ -278,6 +279,29 @@ class TestRunCV:
         parallel = strip_timing(run_cv(ExperimentConfig(**{**config.__dict__, "parallel": 2})))
         serial["config"]["parallel"] = parallel["config"]["parallel"] = None
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+    def test_parallel_workers_capped_at_fold_count(self, monkeypatch):
+        # A pool may fork all its workers at its first task, and a worker past
+        # the fold count would have nothing to run.
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        report = run_cv(synthetic_config(folds=2, parallel=100_000))
+        assert pools == [2]
+        assert report["config"]["parallel"] == 100_000
 
     def test_trace_adds_term_traces(self):
         report = run_cv(synthetic_config(trace=True, baselines=("source-only",)))

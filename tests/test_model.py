@@ -17,7 +17,10 @@ from wdmatch.model import (
     hinge_losses,
     objective,
 )
-from wdmatch.neighborhood import build_graph
+from wdmatch.neighborhood import NeighborhoodGraph, build_graph
+from wdmatch.qp import BoxEqQP, QPSolution
+
+from qp_oracle import MatrixOperator
 
 
 def random_orthonormal_rows(rng, r, m):
@@ -56,6 +59,58 @@ def mean_matching(theta, source, weights, target):
     r, m = theta.shape
     model = TransferModel(theta, np.zeros(r), np.zeros(m), np.zeros(m))
     return objective(model, weights, pair_problem(source, target)).mean_matching
+
+
+def frozen_dataset():
+    x, y = np.arange(8.0).reshape(4, 2), np.array([1.0, -1.0])
+    return DomainDataset(x, y), {"features": x, "labels": y}
+
+
+def frozen_model():
+    theta, w, phi, psi = np.eye(2), np.ones(2), np.ones(2), np.zeros(2)
+    return TransferModel(theta, w, phi, psi), {"theta": theta, "w": w, "phi": phi, "psi": psi}
+
+
+def frozen_weights():
+    pi = np.ones(3)
+    return SourceWeights(pi, 3.0), {"pi": pi}
+
+
+def frozen_problem():
+    x, y = np.arange(8.0).reshape(4, 2) ** 2, np.array([1.0, -1.0, 1.0, -1.0])
+    problem = pair_problem(DomainDataset(x, y), DomainDataset(x, y[:2]))
+    return problem, {"residuals": x, "target_mean": x}
+
+
+def frozen_graph():
+    nbrs, wts = np.array([[1], [0]]), np.array([[1.0], [1.0]])
+    return NeighborhoodGraph(nbrs, wts), {"neighbors": nbrs, "weights": wts}
+
+
+def frozen_qp():
+    lin, lower, upper = np.ones(2), np.zeros(2), np.ones(2)
+    problem = BoxEqQP(MatrixOperator(np.eye(2)), lin, lower, upper, 1.0)
+    return problem, {"lin": lin, "lower": lower, "upper": upper}
+
+
+def frozen_solution():
+    x = np.ones(2)
+    return QPSolution(x, 0.0, 0, 0.0), {"x": x}
+
+
+@pytest.mark.parametrize("build", [frozen_dataset, frozen_model, frozen_weights,
+                                   frozen_problem, frozen_graph, frozen_qp,
+                                   frozen_solution])
+def test_array_fields_are_read_only_copies(build):
+    # Each array field against the caller's array it was built from.
+    record, inputs = build()
+    for name, source in inputs.items():
+        stored = getattr(record, name)
+        kept = stored.copy()
+        source[...] = -7
+        np.testing.assert_array_equal(stored, kept)
+        with pytest.raises(ValueError):
+            stored[...] = 0
 
 
 class TestTransferModel:

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+import wdmatch.qp
 from wdmatch.errors import ConvergenceError, InfeasibleProblemError, ValidationError
 from wdmatch.neighborhood import NeighborhoodGraph
 from wdmatch.optimizer import InstanceWeightHessian
@@ -221,6 +222,15 @@ class TestSolutionCertificates:
                 "warm start used %d iterations vs %d cold",
                 warm.iterations, cold.iterations,
             )
+
+    def test_point_above_the_warm_start_refused(self, monkeypatch):
+        # A certificate within its 1e-6 limit can still sit above the start:
+        # min 1e-7 x over [0, 1], started at x = 0 and certified at x = 1.
+        problem = BoxEqQP(MatrixOperator(np.zeros((1, 1))), [1e-7], [0.0], [1.0], None)
+        monkeypatch.setattr(wdmatch.qp, "_gpcg", lambda problem, x: (np.ones(1), 0))
+        with pytest.raises(ConvergenceError,
+                           match="^solver ended above the warm-start objective$"):
+            solve_qp(problem, start=[0.0])
 
     def test_sum_at_its_lower_limit_returns_lower(self):
         # Every coordinate sits at its lower bound, none at its upper: the
