@@ -1,15 +1,11 @@
 """Cross-domain linear classification with a shared orthogonal projection,
-source instance weighting and first-moment distribution matching."""
+source instance weighting and first-moment distribution matching.
 
-from .data import (
-    DomainDataset,
-    SyntheticShiftSpec,
-    generate_synthetic_pair,
-    load_dataset,
-    save_dataset,
-    standardize_pair,
-    synthetic_pair_with_hidden_labels,
-)
+The root exports the fitting API and the error classes; everything else is
+imported from its own module.
+"""
+
+from .data import generate_synthetic_pair
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -17,91 +13,20 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .evaluate import (
-    DatasetFile,
-    ExperimentConfig,
-    accuracy,
-    baseline_source_only,
-    baseline_target_only,
-    run_cv,
-    transfer_benefit_trial,
-    write_report,
-)
-from .model import (
-    HyperParams,
-    ObjectiveTerms,
-    Problem,
-    SourceWeights,
-    TransferModel,
-    classify_source,
-    classify_target,
-    hinge_losses,
-    objective,
-)
-from .neighborhood import (
-    NeighborhoodGraph,
-    build_graph,
-    build_knn,
-    solve_reconstruction,
-)
-from .optimizer import (
-    OptState,
-    fit,
-    min_trace_rows,
-    solve_pi,
-    solve_theta,
-    solve_w,
-    subgradients,
-    update_phi_psi,
-)
-from .qp import BoxEqQP, QPSolution, project_feasible, solve_qp
+from .model import HyperParams, TransferModel, classify_target
+from .optimizer import fit
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxEqQP",
     "ConfigError",
     "ConvergenceError",
-    "DatasetFile",
-    "DomainDataset",
-    "ExperimentConfig",
     "HyperParams",
     "InfeasibleProblemError",
-    "NeighborhoodGraph",
-    "ObjectiveTerms",
-    "OptState",
     "ParseError",
-    "Problem",
-    "QPSolution",
-    "SourceWeights",
-    "SyntheticShiftSpec",
     "TransferModel",
     "ValidationError",
-    "accuracy",
-    "baseline_source_only",
-    "baseline_target_only",
-    "build_graph",
-    "build_knn",
-    "classify_source",
     "classify_target",
     "fit",
     "generate_synthetic_pair",
-    "hinge_losses",
-    "load_dataset",
-    "min_trace_rows",
-    "objective",
-    "project_feasible",
-    "run_cv",
-    "save_dataset",
-    "solve_pi",
-    "solve_qp",
-    "solve_reconstruction",
-    "solve_theta",
-    "solve_w",
-    "standardize_pair",
-    "subgradients",
-    "synthetic_pair_with_hidden_labels",
-    "transfer_benefit_trial",
-    "update_phi_psi",
-    "write_report",
 ]

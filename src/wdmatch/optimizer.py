@@ -242,8 +242,8 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
     At c1 = 0 the block is not strongly convex, and it runs
     :func:`halving_descent` on :func:`subgradients` from (``phi``, ``psi``)
     with ``hp.subgrad_iters`` steps from ``hp.rho``. So it does when a dual
-    solve cannot be certified: with c1 below about 1e-10 of the squared
-    feature scale, rounding in the dual gradient exceeds the KKT limit.
+    solve cannot be certified, which on some inputs happens with c1 at or
+    below about 1e-11 of the squared largest feature entry (cause not traced).
 
     Either way the result is a candidate, returned unguarded: :func:`fit`
     decides whether to take it.

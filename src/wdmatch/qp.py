@@ -33,6 +33,7 @@ _FEAS_TOL = 1e-12
 _KKT_LIMIT = 1e-6
 _STAT_TOL = 1e-11  # free projected gradient at the solution, times the gradient scale
 _MULT_TOL = 1e-10  # wrong-sign bound multiplier allowed, times the gradient scale
+_HX_ROUNDING = 100 * np.finfo(np.float64).eps  # rounding in Hx, times max|Hx|
 _ARMIJO = 0.01  # sufficient-decrease fraction of a projected search
 _PROGRESS = 0.1  # a GPCG phase ends once a step gains less than this share of its best
 _SEARCH_HALVINGS = 60
@@ -204,13 +205,19 @@ def _certificate(problem, x, at_lo, at_up):
     Returns two absolute maxima, the free projected gradient |grad - lam| and
     the wrong-sign bound multiplier (lam - grad at a lower bound, grad - lam
     at an upper one; a pinned coordinate has no sign), then the gradient and
-    its scale, the largest gradient entry or 1 if that is smaller.
+    its scale: the largest of 1, max|grad| and ``_HX_ROUNDING * max|Hx| /
+    _STAT_TOL``. Below that last floor rounding in Hx alone would fail the
+    stop test, as at the optimum of a pi QP whose mean-matching term dwarfs
+    its gradient.
     """
-    grad = problem.hess.matvec(x) + problem.lin
+    h_x = problem.hess.matvec(x)
+    grad = h_x + problem.lin
     dual = grad - _multiplier(problem, grad, at_lo, at_up)
     free_gap = float(np.max(np.abs(dual[~(at_lo | at_up)]), initial=0.0))
     wrong_sign = float(np.max(np.where(at_lo, -dual, dual)[at_lo != at_up], initial=0.0))
-    return free_gap, wrong_sign, grad, max(1.0, float(np.max(np.abs(grad), initial=0.0)))
+    scale = max(1.0, float(np.max(np.abs(grad), initial=0.0)),
+                _HX_ROUNDING * float(np.max(np.abs(h_x), initial=0.0)) / _STAT_TOL)
+    return free_gap, wrong_sign, grad, scale
 
 
 def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
@@ -219,10 +226,10 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
     ``start`` must be feasible when given; the solver then never returns a
     point with a larger objective. It stops once the free projected gradient
     is within 1e-11, and every bound multiplier within 1e-10 of the right
-    sign, of the largest gradient entry. The cap is ``50 * n`` Hessian
-    products; if the KKT residual still exceeds 1e-6 of the largest gradient
-    entry (or 1e-6, if that entry is smaller than 1) there, or is NaN, a
-    :class:`ConvergenceError` is raised.
+    sign, of the gradient scale: the largest gradient entry, at least 1 and
+    at least the rounding floor 2.2e-3 max|Hx|. The cap is ``50 * n``
+    Hessian products; if the KKT residual still exceeds 1e-6 of that scale
+    there, or is NaN, a :class:`ConvergenceError` is raised.
     """
     n = problem.n
     lower, upper = problem.lower, problem.upper
@@ -273,10 +280,12 @@ def solve_box_qp(hess, lin, upper, start=None) -> QPSolution:
 def _gpcg(problem, x):
     """GPCG iterations from the feasible point x.
 
-    Each round puts coordinates within 1e-12 box widths of a bound onto it,
-    so that rounding cannot leave one free a hair off its bound, checks the
-    KKT certificate, takes projected gradient steps until the binding set
-    settles, then runs CG on the resulting face. CG stops early
+    Each round puts coordinates within 1e-12 box widths (at least 1) of a
+    bound onto it, so that rounding cannot leave one free a hair off its
+    bound, but within 1e-12 max|x| if that is less, so that a solution far
+    below unit scale, as a hinge dual's at tiny c1, is not snapped wholesale.
+    It then checks the KKT certificate, takes projected gradient steps until
+    the binding set settles, then runs CG on the resulting face. CG stops early
     (More-Toraldo) only after projected gradient steps that changed the
     binding set. When CG ends at a new bound, the next round goes straight
     back to CG on the smaller face: bounds are released only by projected
@@ -294,8 +303,9 @@ def _gpcg(problem, x):
     lower, upper = problem.lower, problem.upper
     max_iter = 50 * problem.n
     blocked = False
-    snap = 1e-12 * np.maximum(1.0, upper - lower)
+    widths = np.maximum(1.0, upper - lower)
     while products < max_iter:
+        snap = 1e-12 * np.minimum(widths, np.max(np.abs(x), initial=0.0))
         x = np.where(x - lower <= snap, lower, x)
         x = np.where(upper - x <= snap, upper, x)
         free_gap, wrong_sign, grad, scale = _certificate(problem, x, x <= lower, x >= upper)

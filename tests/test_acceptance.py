@@ -279,12 +279,19 @@ def test_criterion_7_transfer_benefit_ordering():
         and proposed >= ablation
         and elapsed <= 300.0
     )
+
+    def paired(anchor):
+        """Draws on which proposed scores above, level with and below ``anchor``."""
+        signs = [int(np.sign(r["proposed"] - r[anchor])) for r in results]
+        return f"{signs.count(1)}/{signs.count(0)}/{signs.count(-1)}"
+
     assert report(
         7, "transfer benefit ordering over 20 seeds",
         ok,
         f"proposed {proposed:.4f} vs source-only {source_only:.4f} "
-        f"(+{proposed - source_only:.4f}) and C3=0 ablation {ablation:.4f} "
-        f"(+{proposed - ablation:.4f}), runtime {elapsed:.0f}s",
+        f"(+{proposed - source_only:.4f}, win/tie/loss {paired('source-only')}) "
+        f"and C3=0 ablation {ablation:.4f} (+{proposed - ablation:.4f}, "
+        f"win/tie/loss {paired('no-adaptation')}), runtime {elapsed:.0f}s",
     )
 
 

@@ -263,6 +263,15 @@ class TestFitCommand:
         assert err.startswith("error: c3 ") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("c3", [1e12, 1e15], ids=["1e12", "1e15"])
+    def test_large_c3_fits(self, tmp_path, c3):
+        # At the pi QP's optimum the mean-matching products dwarf the gradient,
+        # so rounding in them alone would fail a stop test scaled by the gradient.
+        hyperparams = {**synthetic_payload()["hyperparams"], "c3": c3}
+        config = write_config(tmp_path, synthetic_payload(hyperparams=hyperparams))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 0
+        assert (tmp_path / "m.json").exists()
+
     def test_linear_algebra_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         def diverged(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

@@ -673,12 +673,13 @@ class TestFit:
         with pytest.raises(ValidationError, match="^fit expects DomainDataset inputs$"):
             fit(source.features, target)
 
-    @pytest.mark.parametrize("draw", [0, 2])
+    @pytest.mark.parametrize("draw", [0, 1, 2])
     def test_tiny_c1_duals_are_finite(self, draw):
         # At c1 = 1e-14 an eigendecomposition of c1 I + 2 c2 R'R gave negative
         # eigenvalues and a NaN factor here. The duals built from the SVD of
-        # R stay finite and raise no RuntimeWarning; a solve they cannot
-        # certify still falls back to the halving search.
+        # R stay finite and raise no RuntimeWarning. Draw 0 certifies every
+        # dual; on draws 1 and 2 some solves cannot be certified, and the
+        # block falls back to the halving search.
         source, target = generate_synthetic_pair(rotated_benchmark_spec(draw, 40, 60))
         hp = dataclasses.replace(benchmark_hyperparams(), c1=1e-14)
         problem = Problem(source, target, hp,
@@ -688,8 +689,37 @@ class TestFit:
         state = fit(source, target, hp)
         assert state.iteration >= 2
         records = [e for e in state.substeps if e["step"] == "phi_psi"]
-        assert any(e["dual_kkt"] == (None, None) for e in records)
+        assert any(e["dual_kkt"] == (None, None) for e in records) == (draw != 0)
         assert all(np.all(np.isfinite(v)) for v in (state.model.phi, state.model.psi))
+
+    @pytest.mark.parametrize("draw", range(6))
+    def test_small_c1_duals_are_certified(self, draw):
+        # The hinge duals' solution has the scale of c1 while their box is
+        # [0, pi], so a snap width of 1e-12 box widths alone would put the
+        # free coordinates on a bound every GPCG round and refuse the solve.
+        source, target = generate_synthetic_pair(rotated_benchmark_spec(draw, 40, 60))
+        state = fit(source, target, HyperParams(r=3, outer_iters=15, c1=1e-10))
+        records = [e for e in state.substeps if e["step"] == "phi_psi"]
+        assert records and all(e["dual_kkt"] != (None, None) for e in records)
+
+    @pytest.mark.parametrize("n, m, c1", [
+        (200, 20, 1.0), (40, 60, 1.0), (200, 20, 0.0), (400, 10, 0.3),
+    ])
+    def test_flipped_labels_negate_the_classifiers(self, n, m, c1):
+        # Every term reads a label only through y x'v, so flipping every
+        # label is the same problem in -phi, -psi and -w; the steps' rounding
+        # is symmetric in sign, so the match is exact.
+        source, target = generate_synthetic_pair(rotated_benchmark_spec(0, n, m))
+        hp = dataclasses.replace(benchmark_hyperparams(), c1=c1)
+        state = fit(source, target, hp)
+        flipped = fit(DomainDataset(source.features, -source.labels),
+                      DomainDataset(target.features, -target.labels), hp)
+        for name in ("phi", "psi", "w"):
+            np.testing.assert_array_equal(getattr(flipped.model, name),
+                                          -getattr(state.model, name))
+        np.testing.assert_array_equal(flipped.model.theta, state.model.theta)
+        np.testing.assert_array_equal(flipped.weights.pi, state.weights.pi)
+        assert flipped.objective_trace == state.objective_trace
 
     def test_zero_iterations_returns_initialization(self):
         _, source, target, *_ = small_problem(90)
