@@ -18,6 +18,7 @@ import numpy as np
 from .data import DomainDataset
 from .errors import ValidationError, settle
 from .neighborhood import NeighborhoodGraph
+from .qp import BoxEqQP, solve_qp
 
 _ORTH_TOL = 1e-8
 
@@ -259,7 +260,7 @@ class HingeDual:
     / sqrt(c1))), held in O(m min(p, m)) memory, and ``rows`` is K = G L. The
     minimizer is c = L (L b + K'a), where a minimizes 0.5 a'KK'a + (K L b - 1)'a
     over 0 <= a <= u; the dual gradient at a is minus the hinge slacks 1 - Gc.
-    ``matvec`` applies KK' in O(nm).
+    ``matvec`` applies KK' in O(nm), and :meth:`solve` finds a and c.
     """
 
     rows: np.ndarray
@@ -278,6 +279,15 @@ class HingeDual:
 
     def matvec(self, a: np.ndarray) -> np.ndarray:
         return self.rows @ (self.rows.T @ a)
+
+    def solve(self, shift, upper, start):
+        """The minimizer c for b = ``shift`` and u = ``upper``, and the dual's
+        :class:`~wdmatch.qp.QPSolution`: a box-only QP solved by GPCG, warm
+        from ``start`` unless that is None."""
+        lifted = self.lift(shift)
+        dual = BoxEqQP(self, self.rows @ lifted - 1.0, np.zeros(upper.size), upper, None)
+        solution = solve_qp(dual, start)
+        return self.lift(lifted + self.rows.T @ solution.x), solution
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ import numpy as np
 from .data import DomainDataset
 from .errors import ConvergenceError, ValidationError, settle
 from .model import (
-    HingeDual,
     HyperParams,
     Problem,
     SourceWeights,
@@ -34,7 +33,7 @@ from .model import (
     orthonormal_gap,
 )
 from .neighborhood import NeighborhoodGraph, build_graph
-from .qp import BoxEqQP, solve_box_qp, solve_qp
+from .qp import BoxEqQP, solve_qp
 
 logger = logging.getLogger(__name__)
 
@@ -218,14 +217,6 @@ class BlockStep:
     duals: tuple | None
 
 
-def _solve_hinge_dual(dual: HingeDual, shift, upper, start):
-    """The primal minimizer of one :class:`~wdmatch.model.HingeDual` and its
-    dual solution, for linear term ``shift`` and hinge weights ``upper``."""
-    lifted = dual.lift(shift)
-    solution = solve_box_qp(dual, dual.rows @ lifted - 1.0, upper, start)
-    return dual.lift(lifted + dual.rows.T @ solution.x), solution
-
-
 def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockStep:
     """Minimize the (phi, psi) block exactly through its two hinge duals.
 
@@ -234,16 +225,17 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
     a linear SVM (Hsieh et al., ICML 2008): phi = s + A'alpha / c1 with
     A = diag(y) X and 0 <= alpha <= pi, and psi = H^-1 (c1 s + B'beta) with
     B the labeled target rows signed by label, 0 <= beta <= 1 and
-    H = c1 I + 2 c2 R'R. Here s = ``shared``. Both duals are box-only QPs,
-    solved by GPCG through :func:`~wdmatch.qp.solve_box_qp`. ``duals`` is the
+    H = c1 I + 2 c2 R'R. Here s = ``shared``. Each is a box-only QP that its
+    :meth:`~wdmatch.model.HingeDual.solve` hands to GPCG. ``duals`` is the
     previous block's :attr:`BlockStep.duals`; the solves warm-start from its
     alpha clipped to ``pi`` (a zero-width box where pi is 0) and its beta.
 
     At c1 = 0 the block is not strongly convex, and it runs
     :func:`halving_descent` on :func:`subgradients` from (``phi``, ``psi``)
-    with ``hp.subgrad_iters`` steps from ``hp.rho``. So it does when a dual
-    solve cannot be certified, which on some inputs happens with c1 at or
-    below about 1e-11 of the squared largest feature entry (cause not traced).
+    with ``hp.subgrad_iters`` steps from ``hp.rho``. So it does, after a
+    WARNING log line, when a dual solve cannot be certified, which on some
+    inputs happens with c1 at or below about 1e-11 of the squared largest
+    feature entry (cause not traced).
 
     Either way the result is a candidate, returned unguarded: :func:`fit`
     decides whether to take it.
@@ -253,12 +245,12 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
         alpha, beta = (None, None) if duals is None else (
             np.minimum(duals[0].x, pi), duals[1].x)
         try:
-            phi_step, alpha = _solve_hinge_dual(problem.source_dual, shift, pi, alpha)
+            phi_step, alpha = problem.source_dual.solve(shift, pi, alpha)
             upper = np.ones(problem.target.labeled_count)
-            psi_step, beta = _solve_hinge_dual(problem.target_dual, shift, upper, beta)
+            psi_step, beta = problem.target_dual.solve(shift, upper, beta)
             return BlockStep(phi_step, psi_step, (alpha, beta))
         except ConvergenceError as exc:
-            logger.debug("hinge duals not certified (%s); halving search instead", exc)
+            logger.warning("hinge duals not certified (%s); halving search instead", exc)
     phi, psi = halving_descent(
         lambda p: q_value(problem, *p, shared, pi),
         lambda p: subgradients(problem, *p, shared, pi),

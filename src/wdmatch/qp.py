@@ -266,17 +266,6 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
     )
 
 
-def solve_box_qp(hess, lin, upper, start=None) -> QPSolution:
-    """Minimize 0.5 x'Hx + f'x over 0 <= x <= upper by :func:`solve_qp`.
-
-    ``hess`` is an operator with ``matvec``. The problem is box-only
-    (``eq_target`` None), so GPCG's multiplier is 0 and its projection a clip.
-    ``start``, when given, must lie in the box.
-    """
-    upper = np.asarray(upper, dtype=np.float64).reshape(-1)
-    return solve_qp(BoxEqQP(hess, lin, np.zeros(upper.size), upper, None), start)
-
-
 def _gpcg(problem, x):
     """GPCG iterations from the feasible point x.
 

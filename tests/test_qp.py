@@ -8,7 +8,7 @@ from wdmatch.errors import ConvergenceError, InfeasibleProblemError, ValidationE
 from wdmatch.neighborhood import NeighborhoodGraph
 from wdmatch.optimizer import InstanceWeightHessian
 from wdmatch.model import HingeDual
-from wdmatch.qp import BoxEqQP, project_feasible, solve_box_qp, solve_qp
+from wdmatch.qp import BoxEqQP, project_feasible, solve_qp
 
 from qp_oracle import MatrixOperator, projected_gradient_oracle
 
@@ -88,7 +88,8 @@ class TestProblemValidation:
         # A NaN in the linear term makes a gradient entry, and so the KKT
         # residual, NaN; the comparison with the limit must not pass it.
         with pytest.raises(ConvergenceError, match="KKT residual nan$"):
-            solve_box_qp(MatrixOperator(np.eye(3)), [np.nan, -1.0, 0.5], np.ones(3))
+            solve_qp(BoxEqQP(MatrixOperator(np.eye(3)), [np.nan, -1.0, 0.5],
+                              np.zeros(3), np.ones(3), None))
 
 
 class TestKnownSolutions:
@@ -500,7 +501,7 @@ class TestBoxQP:
         upper = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 3.0, n))
         start = rng.random(n) * upper
         for begin in (None, start):
-            sol = solve_box_qp(hess, lin, upper, begin)
+            sol = solve_qp(BoxEqQP(hess, lin, np.zeros(n), upper, None), begin)
             x = sol.x
             assert x.shape == (n,) and np.all(x >= 0.0) and np.all(x <= upper)
             grad = hess.matvec(x) + lin
@@ -550,8 +551,9 @@ class TestBoxQP:
 
     def test_empty_box(self):
         # A target with no labeled rows gives its hinge dual no coordinates.
-        sol = solve_box_qp(hinge_gram(np.zeros((0, 2))), [], [])
+        primal, sol = hinge_gram(np.zeros((0, 2))).solve(np.zeros(2), np.zeros(0), None)
         assert sol.x.shape == (0,) and sol.objective == 0.0
+        np.testing.assert_array_equal(primal, np.zeros(2))
 
 
 def planted_box_qp(seed, n, m, free, upper=None):
@@ -581,7 +583,7 @@ def check_box_solution(hess, lin, upper, planted, start):
     def value(x):
         return 0.5 * x @ hess.matvec(x) + lin @ x
 
-    sol = solve_box_qp(hess, lin, upper, start)
+    sol = solve_qp(BoxEqQP(hess, lin, np.zeros(upper.size), upper, None), start)
     x = sol.x
     assert np.all(x >= 0.0) and np.all(x <= upper)
     grad = hess.matvec(x) + lin
