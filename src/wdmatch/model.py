@@ -168,6 +168,10 @@ class HyperParams:
     tol: float = 1e-6
 
     def __post_init__(self):
+        for name in ("k", "outer_iters", "subgrad_iters") + (() if self.r is None else ("r",)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         for name in ("c1", "c2", "c3", "delta", "rho", "tol"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")

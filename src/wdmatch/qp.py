@@ -96,8 +96,8 @@ class QPSolution:
     """Solver output: feasible point, objective value and a KKT certificate.
 
     ``iterations`` counts the Hessian products of GPCG's two phases. Not
-    counted are the KKT certificates' gradients and the two objective
-    evaluations, which add one product per round and three per solve.
+    counted are the KKT certificates' gradients and the start objective,
+    which add one product per round and two per solve.
     """
 
     x: np.ndarray
@@ -208,7 +208,7 @@ def _certificate(problem, x, at_lo, at_up):
     its scale: the largest of 1, max|grad| and ``_HX_ROUNDING * max|Hx| /
     _STAT_TOL``. Below that last floor rounding in Hx alone would fail the
     stop test, as at the optimum of a pi QP whose mean-matching term dwarfs
-    its gradient.
+    its gradient. Last comes Hx itself, from which x's objective follows.
     """
     h_x = problem.hess.matvec(x)
     grad = h_x + problem.lin
@@ -217,7 +217,7 @@ def _certificate(problem, x, at_lo, at_up):
     wrong_sign = float(np.max(np.where(at_lo, -dual, dual)[at_lo != at_up], initial=0.0))
     scale = max(1.0, float(np.max(np.abs(grad), initial=0.0)),
                 _HX_ROUNDING * float(np.max(np.abs(h_x), initial=0.0)) / _STAT_TOL)
-    return free_gap, wrong_sign, grad, scale
+    return free_gap, wrong_sign, grad, scale, h_x
 
 
 def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
@@ -249,21 +249,18 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
 
     x, iterations = _gpcg(problem, x)
     x = np.clip(x, lower, upper)
-    free_gap, wrong_sign, _, scale = _certificate(problem, x, x <= lower, x >= upper)
+    free_gap, wrong_sign, _, scale, h_x = _certificate(problem, x, x <= lower, x >= upper)
     residual = max(free_gap, wrong_sign, _sum_gap(problem, x))
     if not residual <= _KKT_LIMIT * scale:  # a NaN residual certifies nothing
         raise ConvergenceError(
             f"GPCG stopped after {iterations} Hessian products with "
             f"KKT residual {residual:.3e}"
         )
-    objective = problem.objective(x)
-    if start is not None and objective > start_objective + 1e-9 * max(
-        1.0, abs(start_objective)
-    ):
+    objective = float(0.5 * x @ h_x + problem.lin @ x)  # problem.objective(x), from its Hx
+    slack = 1e-9 * max(1.0, abs(start_objective))
+    if start is not None and objective > start_objective + slack:
         raise ConvergenceError("solver ended above the warm-start objective")
-    return QPSolution(
-        x=x, objective=objective, iterations=iterations, kkt_residual=residual
-    )
+    return QPSolution(x=x, objective=objective, iterations=iterations, kkt_residual=residual)
 
 
 def _gpcg(problem, x):
@@ -273,14 +270,14 @@ def _gpcg(problem, x):
     bound onto it, so that rounding cannot leave one free a hair off its
     bound, but within 1e-12 max|x| if that is less, so that a solution far
     below unit scale, as a hinge dual's at tiny c1, is not snapped wholesale.
-    It then checks the KKT certificate, takes projected gradient steps until
-    the binding set settles, then runs CG on the resulting face. CG stops early
-    (More-Toraldo) only after projected gradient steps that changed the
-    binding set. When CG ends at a new bound, the next round goes straight
-    back to CG on the smaller face: bounds are released only by projected
-    gradient steps taken where CG stopped inside its face, so ill-conditioned
-    faces cannot make a bound zigzag on and off. Returns the final point and
-    the count of the phases' ``matvec``.
+    It reads the bound partition once, checks the KKT certificate on it, takes
+    projected gradient steps until the partition settles, and runs CG on the
+    face they hand back. CG stops early (More-Toraldo) only after projected
+    gradient steps that changed the partition. When CG ends at a new bound,
+    the next round goes straight back to CG on the smaller face: bounds are
+    released only by projected gradient steps taken where CG stopped inside
+    its face, so ill-conditioned faces cannot make a bound zigzag on and off.
+    Returns the final point and the count of the phases' ``matvec``.
     """
     products = 0
 
@@ -297,21 +294,19 @@ def _gpcg(problem, x):
         snap = 1e-12 * np.minimum(widths, np.max(np.abs(x), initial=0.0))
         x = np.where(x - lower <= snap, lower, x)
         x = np.where(upper - x <= snap, upper, x)
-        free_gap, wrong_sign, grad, scale = _certificate(problem, x, x <= lower, x >= upper)
+        at_lo, at_up = x <= lower, x >= upper
+        free_gap, wrong_sign, grad, scale, _ = _certificate(problem, x, at_lo, at_up)
         if free_gap <= _STAT_TOL * scale and wrong_sign <= _MULT_TOL * scale:
             break
         before, projected, changed = x, not blocked, False
         if projected:
-            x, grad, changed = _gradient_projection(problem, matvec, x, grad)
-        x, blocked = _face_cg(problem, matvec, x, grad, _STAT_TOL * scale, changed)
+            x, grad, at_lo, at_up, changed = _gradient_projection(
+                problem, matvec, x, grad, at_lo, at_up)
+        free = np.flatnonzero(~(at_lo | at_up))
+        x, blocked = _face_cg(problem, matvec, x, grad, free, _STAT_TOL * scale, changed)
         if projected and np.array_equal(x, before):
             break
     return x, products
-
-
-def _binding(x, lower, upper) -> np.ndarray:
-    """-1 at a lower bound, +1 at an upper bound, 0 in between (and pinned)."""
-    return (x >= upper).astype(np.int8) - (x <= lower).astype(np.int8)
 
 
 def _projected_search(x, direction, alpha, grad, matvec, lower, upper, total, floor):
@@ -341,22 +336,22 @@ def _projected_search(x, direction, alpha, grad, matvec, lower, upper, total, fl
     return None, None, 0.0
 
 
-def _gradient_projection(problem, matvec, x, grad):
-    """Projected gradient steps until the binding set settles or progress stalls.
+def _gradient_projection(problem, matvec, x, grad, at_lo, at_up):
+    """Projected gradient steps from x, at a lower bound where ``at_lo`` and
+    an upper one where ``at_up``, until that partition settles or progress stalls.
 
     Each step searches the projected path P(x - alpha grad), from the exact
     line minimizer along the steepest feasible direction; many bounds can
     change in one step. At most ``_GP_STEPS`` steps are taken: on an
     ill-conditioned problem they crawl, and CG on the current face does
-    better. Returns x, its gradient and whether the binding set changed.
+    better. Returns x, its gradient, its bound masks and whether they changed.
     """
     lower, upper, target = problem.lower, problem.upper, problem.eq_target
     movable = upper > lower
     width = float(np.max(upper - lower))
-    start = _binding(x, lower, upper)
+    start = at_lo, at_up
     best = 0.0
     for _ in range(_GP_STEPS):
-        at_lo, at_up = x <= lower, x >= upper
         free = ~(at_lo | at_up)
         pivot = _multiplier(problem, grad, at_lo, at_up)
         released = (at_lo & (grad < pivot)) | (at_up & (grad > pivot))
@@ -382,13 +377,13 @@ def _gradient_projection(problem, matvec, x, grad):
         )
         if candidate is None:
             break
-        previous = _binding(x, lower, upper)
+        previous = at_lo, at_up
         x, grad = candidate, grad + h_step
+        at_lo, at_up = x <= lower, x >= upper
         best = max(best, gain)
-        settled = np.array_equal(previous, _binding(x, lower, upper))
-        if settled or gain <= _PROGRESS * best:
+        if np.array_equal(previous, (at_lo, at_up)) or gain <= _PROGRESS * best:
             break
-    return x, grad, not np.array_equal(start, _binding(x, lower, upper))
+    return x, grad, at_lo, at_up, not np.array_equal(start, (at_lo, at_up))
 
 
 def _face_product(matvec, n, free):
@@ -404,9 +399,9 @@ def _face_product(matvec, n, free):
     return face_matvec
 
 
-def _face_cg(problem, matvec, x, grad, tol, early_stop):
-    """Conjugate gradients over the free coordinates of x, at fixed sum if the
-    problem has a sum constraint.
+def _face_cg(problem, matvec, x, grad, free, tol, early_stop):
+    """Conjugate gradients over the face ``free`` of x, the indices at neither
+    bound as in the certificate, at fixed sum under a sum constraint.
 
     Bound coordinates stay fixed; the residual is the negative gradient over
     the free ones, made sum-zero under a sum constraint. CG stops once the
@@ -421,11 +416,9 @@ def _face_cg(problem, matvec, x, grad, tol, early_stop):
     never releases one. A face of one coordinate is worked on too unless the
     sum pins it. Returns the point and whether CG ended at a bound.
     """
-    lower, upper = problem.lower, problem.upper
-    free = np.flatnonzero((x > lower) & (x < upper))
     if free.size <= problem.equalities:
         return x, False
-    xf, lo, up = x[free], lower[free], upper[free]
+    xf, lo, up = x[free], problem.lower[free], problem.upper[free]
     face_grad = grad[free]
     resid = _centre(problem, face_grad) - face_grad
     direction = resid.copy()

@@ -224,6 +224,17 @@ class TestHyperParams:
         with pytest.raises(ValidationError, match=message):
             HyperParams(**change)
 
+    @pytest.mark.parametrize("name", ["r", "k", "outer_iters", "subgrad_iters"])
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0)])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            HyperParams(**{name: value})
+
+    def test_numpy_integer_count_accepted(self):
+        hp = HyperParams(r=np.int64(3), k=np.int64(5), outer_iters=np.int32(2),
+                         subgrad_iters=np.int16(4))
+        assert (hp.r, hp.k, hp.outer_iters, hp.subgrad_iters) == (3, 5, 2, 4)
+
     def test_json_round_trip(self):
         hp = HyperParams(c1=0.5, r=4, tol=1e-5)
         assert from_json(HyperParams, to_json(hp)) == hp

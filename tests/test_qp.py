@@ -45,13 +45,36 @@ class TestProductCount:
     twice, changes a figure (measured with numpy 2.4.6 and OpenBLAS on x86-64).
     """
 
-    @pytest.mark.parametrize("problem, products", [
+    PINNED = pytest.mark.parametrize("problem, products", [
         (lambda: random_problem(3), 8),
         (lambda: random_problem(39), 14),
         (lambda: low_rank_box_problem(8), 28),
     ], ids=["sum-3", "sum-39", "box-8"])
+
+    @PINNED
     def test_hessian_products(self, problem, products):
         assert solve_qp(problem()).iterations == products
+
+    @PINNED
+    def test_uncounted_products(self, problem, products, monkeypatch):
+        # Beyond the phases' products, each KKT certificate takes one and the
+        # start objective one; the solution is scored from the last certificate.
+        qp, certificate = problem(), wdmatch.qp._certificate
+        calls, certificates = [], []
+
+        class Spy:
+            def matvec(self, v):
+                calls.append(v)
+                return qp.hess.matvec(v)
+
+        def counted(*args):
+            certificates.append(args)
+            return certificate(*args)
+
+        monkeypatch.setattr(wdmatch.qp, "_certificate", counted)
+        sol = solve_qp(BoxEqQP(Spy(), qp.lin, qp.lower, qp.upper, qp.eq_target))
+        assert sol.iterations == products
+        assert len(calls) == sol.iterations + len(certificates) + 1
 
 
 class TestProblemValidation:
@@ -428,6 +451,7 @@ class TestGPCG:
             c2 = float(rng.uniform(0.2, 3.0))
             operator, dense = pi_shaped(seed, n, delta, c2, c3)
             sol = solve_qp(operator)
+            assert sol.objective == operator.objective(sol.x), seed
             scale = max(1.0, abs(sol.objective))
             worst_gap = max(worst_gap, frank_wolfe_gap(dense, sol.x) / scale)
             assert certificate_holds(dense, sol.x), seed
@@ -583,7 +607,8 @@ def check_box_solution(hess, lin, upper, planted, start):
     def value(x):
         return 0.5 * x @ hess.matvec(x) + lin @ x
 
-    sol = solve_qp(BoxEqQP(hess, lin, np.zeros(upper.size), upper, None), start)
+    problem = BoxEqQP(hess, lin, np.zeros(upper.size), upper, None)
+    sol = solve_qp(problem, start)
     x = sol.x
     assert np.all(x >= 0.0) and np.all(x <= upper)
     grad = hess.matvec(x) + lin
@@ -593,6 +618,7 @@ def check_box_solution(hess, lin, upper, planted, start):
     assert np.all(grad[(x == 0.0) & movable] >= -tol)
     assert np.all(grad[(x == upper) & movable] <= tol)
     assert sol.objective == pytest.approx(value(planted), rel=1e-10, abs=1e-10)
+    assert sol.objective == problem.objective(x)
     if start is not None:
         assert sol.objective <= value(start)
     return x
