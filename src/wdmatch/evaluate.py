@@ -1,4 +1,4 @@
-"""Cross-validation harness, ablation baselines and report emission.
+"""Cross-validation harness, linear-SVM anchors, the ablation and report emission.
 
 Folds are stratified over the labeled target points. A held-out point is not
 discarded during training: it stays in the target set as an unlabeled row (so
@@ -26,8 +26,8 @@ from .data import (
     write_all,
 )
 from .errors import ConfigError, ValidationError, settle
-from .model import HyperParams, classify_target, hinge_losses, hinge_subgradient
-from .optimizer import fit, halving_descent
+from .model import HyperParams, classify_target
+from .optimizer import fit, train_anchor
 
 PROPOSED = "proposed"
 SOURCE_ONLY = "source-only"
@@ -51,34 +51,14 @@ def accuracy(scores, labels) -> float:
     return float(np.mean(predictions == labels))
 
 
-def _labeled_hinge(dataset: DomainDataset, hp: HyperParams, empty: str) -> np.ndarray:
-    """Linear classifier minimizing the plain hinge sum over the labeled rows of
-    ``dataset``, by :func:`~wdmatch.optimizer.halving_descent` with
-    ``max(200, hp.subgrad_iters)`` steps from ``hp.rho``; raises
-    :class:`ValidationError` with the message ``empty`` when there are none."""
-    if dataset.labeled_count == 0:
-        raise ValidationError(empty)
-    features, labels = dataset.labeled_features, dataset.labels
-
-    def value(params):
-        return float(hinge_losses(features @ params[0], labels).sum())
-
-    def gradient(params):
-        return (hinge_subgradient(features, labels, params[0]),)
-
-    (w,) = halving_descent(value, gradient, (np.zeros(dataset.dim),),
-                           max(200, hp.subgrad_iters), hp.rho)
-    return w
-
-
 def baseline_source_only(source: DomainDataset, hp: HyperParams) -> np.ndarray:
-    """Hinge classifier trained on the source domain alone."""
-    return _labeled_hinge(source, hp, "source-only baseline needs labeled source data")
+    """Linear SVM on the source domain alone (:func:`~wdmatch.optimizer.train_anchor`)."""
+    return train_anchor(source, hp, "source-only baseline needs labeled source data")
 
 
 def baseline_target_only(target: DomainDataset, hp: HyperParams) -> np.ndarray:
-    """Hinge classifier trained on the labeled target block alone."""
-    return _labeled_hinge(target, hp, "target-only baseline needs labeled target points")
+    """Linear SVM on the labeled target block alone (see :func:`baseline_source_only`)."""
+    return train_anchor(target, hp, "target-only baseline needs labeled target points")
 
 
 @dataclass(frozen=True)
@@ -196,9 +176,9 @@ def hold_out_fold(target: DomainDataset, test_idx: np.ndarray):
 
 def _train_and_score(method: str, source, target, hp: HyperParams, x):
     """Train ``method`` on the two domains; the scores of the rows ``x`` and
-    the fit's state (``None`` for a hinge baseline). No-adaptation is the fit
-    with c3 = 0. ``fit`` and the baselines are read as module globals, which
-    ``bench/layers.py`` wraps."""
+    the fit's state (``None`` for an anchor, a linear SVM on one domain).
+    No-adaptation is the fit with c3 = 0. ``fit`` and the baselines are read
+    as module globals, which ``bench/layers.py`` wraps."""
     if method == SOURCE_ONLY:
         return x @ baseline_source_only(source, hp), None
     if method == TARGET_ONLY:

@@ -154,6 +154,7 @@ class HyperParams:
     """Trade-off weights, subspace size and iteration budgets.
 
     ``r=None`` resolves to min(m, 20) once the feature dimension is known.
+    ``rho`` and ``subgrad_iters`` only steer halving searches (c1 = 0, refused duals).
     """
 
     c1: float = 1.0
@@ -173,7 +174,11 @@ class HyperParams:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         for name in ("c1", "c2", "c3", "delta", "rho", "tol"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            real = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not real:
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+            if not np.isfinite(value):
                 raise ValidationError(f"{name} must be finite")
         if min(self.c1, self.c2, self.c3) < 0.0:
             raise ValidationError("trade-off weights must be nonnegative")
@@ -273,6 +278,13 @@ class HingeDual:
 
     @classmethod
     def build(cls, hinge_rows: np.ndarray, c1: float, curvature: np.ndarray) -> "HingeDual":
+        # For p rows of m entries at most g, s = p m g^2 / c1 bounds the dual's
+        # Hessian and gradient, and p s^3 GPCG's curvature products.
+        entry = float(np.abs(hinge_rows).max(initial=0.0))
+        norm = hinge_rows.size * entry * entry / float(c1)  # float: inf, no warning
+        if not np.isfinite(len(hinge_rows) * norm * norm * norm):
+            raise ValidationError("c1 is too small: the hinge duals' curvature "
+                                  "products overflow")
         _, singular, right = np.linalg.svd(curvature, full_matrices=False)
         root = np.sqrt(c1)
         basis = right.T * np.sqrt((1.0 - root / np.hypot(root, singular)) / root)
@@ -310,12 +322,11 @@ class Problem:
     ``target_dual`` for psi (labeled target rows, H = c1 I + 2 c2 R'R, S =
     sqrt(2 c2) R with R the residual matrix). At c1 = 0 neither H is positive
     definite and both are None. A c2 for which sqrt(2 c2) R overflows is
-    rejected at every c1, and so is a c1 > 0 for which p s^3 overflows: for p
-    hinge rows of m entries at most g, s = p m g^2 / c1 bounds the duals'
-    Hessians and gradients, and p s^3 GPCG's curvature products. Likewise a c3
-    for which n s^3 overflows is rejected, with s = c3 m g^2 min(delta, n) for
-    g the largest feature entry of either domain: it bounds the pi QP's
-    mean-matching curvature and gradient over n source points.
+    rejected at every c1, and :meth:`HingeDual.build` rejects a c1 > 0 too
+    small for either dual. Likewise a c3 for which n s^3 overflows is
+    rejected, with s = c3 m g^2 min(delta, n) for g the largest feature entry
+    of either domain: it bounds the pi QP's mean-matching curvature and
+    gradient over n source points.
     """
 
     source: DomainDataset
@@ -352,13 +363,6 @@ class Problem:
                                   "products overflow")
         source_dual = target_dual = None
         if self.hp.c1 > 0.0:
-            rows = max(source.n, target.labeled_count)
-            entry = max(float(np.abs(source.features).max()),
-                        float(np.abs(target.labeled_features).max(initial=0.0)))
-            norm = rows * source.dim * entry * entry / self.hp.c1  # float: inf, no warning
-            if not np.isfinite(rows * norm * norm * norm):
-                raise ValidationError("c1 is too small: the hinge duals' curvature "
-                                      "products overflow")
             source_dual = HingeDual.build(source.labels[:, None] * source.features,
                                           self.hp.c1, np.zeros((0, source.dim)))
             target_dual = HingeDual.build(target.labels[:, None] * target.labeled_features,

@@ -22,6 +22,7 @@ import numpy as np
 from .data import DomainDataset
 from .errors import ConvergenceError, ValidationError, settle
 from .model import (
+    HingeDual,
     HyperParams,
     Problem,
     SourceWeights,
@@ -217,6 +218,20 @@ class BlockStep:
     duals: tuple | None
 
 
+def _train_hinge(solves, value, gradient, start, hp: HyperParams) -> tuple:
+    """The classifiers of ``solves``, one (dual, shift, upper, warm) each for
+    :meth:`~wdmatch.model.HingeDual.solve`, and the duals' QPSolutions. At
+    c1 = 0, and after a WARNING line when a solve is not certified, it runs
+    :func:`halving_descent` on ``value`` and ``gradient`` from ``start``, with
+    ``hp.subgrad_iters`` steps from ``hp.rho``, and the solutions are None."""
+    if hp.c1 > 0.0:
+        try:
+            return tuple(zip(*[d.solve(b, u, w) for d, b, u, w in solves]))
+        except ConvergenceError as exc:
+            logger.warning("hinge duals not certified (%s); halving search instead", exc)
+    return halving_descent(value, gradient, start, hp.subgrad_iters, hp.rho), None
+
+
 def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockStep:
     """Minimize the (phi, psi) block exactly through its two hinge duals.
 
@@ -230,34 +245,38 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
     previous block's :attr:`BlockStep.duals`; the solves warm-start from its
     alpha clipped to ``pi`` (a zero-width box where pi is 0) and its beta.
 
-    At c1 = 0 the block is not strongly convex, and it runs
-    :func:`halving_descent` on :func:`subgradients` from (``phi``, ``psi``)
-    with ``hp.subgrad_iters`` steps from ``hp.rho``. So it does, after a
-    WARNING log line, when a dual solve cannot be certified, which on some
-    inputs happens with c1 at or below about 1e-11 of the squared largest
-    feature entry (cause not traced).
+    At c1 = 0, where the block is not strongly convex, and when a dual solve is
+    not certified (on some inputs at c1 up to about 1e-11 of the squared largest
+    feature entry; cause not traced), it runs the halving search on :func:`q_value`.
 
     Either way the result is a candidate, returned unguarded: :func:`fit`
     decides whether to take it.
     """
-    if problem.source_dual is not None:
-        shift = problem.hp.c1 * np.asarray(shared, dtype=np.float64)
-        alpha, beta = (None, None) if duals is None else (
-            np.minimum(duals[0].x, pi), duals[1].x)
-        try:
-            phi_step, alpha = problem.source_dual.solve(shift, pi, alpha)
-            upper = np.ones(problem.target.labeled_count)
-            psi_step, beta = problem.target_dual.solve(shift, upper, beta)
-            return BlockStep(phi_step, psi_step, (alpha, beta))
-        except ConvergenceError as exc:
-            logger.warning("hinge duals not certified (%s); halving search instead", exc)
-    phi, psi = halving_descent(
+    shift = problem.hp.c1 * np.asarray(shared, dtype=np.float64)
+    alpha, beta = (None, None) if duals is None else (np.minimum(duals[0].x, pi), duals[1].x)
+    (phi, psi), duals = _train_hinge(
+        [(problem.source_dual, shift, pi, alpha),
+         (problem.target_dual, shift, np.ones(problem.target.labeled_count), beta)],
         lambda p: q_value(problem, *p, shared, pi),
         lambda p: subgradients(problem, *p, shared, pi),
-        (np.asarray(phi, dtype=np.float64), np.asarray(psi, dtype=np.float64)),
-        problem.hp.subgrad_iters, problem.hp.rho,
-    )
-    return BlockStep(phi, psi, None)
+        (np.asarray(phi, dtype=np.float64), np.asarray(psi, dtype=np.float64)), problem.hp)
+    return BlockStep(phi, psi, duals)
+
+
+def train_anchor(dataset: DomainDataset, hp: HyperParams, empty: str) -> np.ndarray:
+    """The phi block at shared = 0 and unit weights over ``dataset``'s labeled
+    rows, from 0: the linear SVM minimizing sum_i max(0, 1 - y_i x_i'c) + c1/2 c'c.
+    Without labeled rows it raises :class:`ValidationError` with message ``empty``."""
+    if dataset.labeled_count == 0:
+        raise ValidationError(empty)
+    features, labels, zeros = dataset.labeled_features, dataset.labels, np.zeros(dataset.dim)
+    dual = None if hp.c1 == 0.0 else HingeDual.build(
+        labels[:, None] * features, hp.c1, np.zeros((0, dataset.dim)))
+    (c,), _ = _train_hinge(
+        [(dual, zeros, np.ones(labels.size), None)],
+        lambda p: float(hinge_losses(features @ p[0], labels).sum()) + 0.5 * hp.c1 * p[0] @ p[0],
+        lambda p: (hinge_subgradient(features, labels, p[0]) + hp.c1 * p[0],), (zeros,), hp)
+    return c
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ class QPSolution:
 
     ``iterations`` counts the Hessian products of GPCG's two phases. Not
     counted are the KKT certificates' gradients and the start objective,
-    which add one product per round and two per solve.
+    which add one product per round and one per solve.
     """
 
     x: np.ndarray
@@ -247,9 +247,7 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
             x = project_feasible(x, lower, upper, problem.eq_target)
     start_objective = problem.objective(x)
 
-    x, iterations = _gpcg(problem, x)
-    x = np.clip(x, lower, upper)
-    free_gap, wrong_sign, _, scale, h_x = _certificate(problem, x, x <= lower, x >= upper)
+    x, iterations, (free_gap, wrong_sign, _, scale, h_x) = _gpcg(problem, x)
     residual = max(free_gap, wrong_sign, _sum_gap(problem, x))
     if not residual <= _KKT_LIMIT * scale:  # a NaN residual certifies nothing
         raise ConvergenceError(
@@ -277,7 +275,9 @@ def _gpcg(problem, x):
     the next round goes straight back to CG on the smaller face: bounds are
     released only by projected gradient steps taken where CG stopped inside
     its face, so ill-conditioned faces cannot make a bound zigzag on and off.
-    Returns the final point and the count of the phases' ``matvec``.
+    A round that finds the product cap spent stops after its certificate.
+    Returns the final point, the count of the phases' ``matvec`` and the
+    certificate of that point, the last round's.
     """
     products = 0
 
@@ -290,13 +290,15 @@ def _gpcg(problem, x):
     max_iter = 50 * problem.n
     blocked = False
     widths = np.maximum(1.0, upper - lower)
-    while products < max_iter:
+    while True:
         snap = 1e-12 * np.minimum(widths, np.max(np.abs(x), initial=0.0))
         x = np.where(x - lower <= snap, lower, x)
         x = np.where(upper - x <= snap, upper, x)
         at_lo, at_up = x <= lower, x >= upper
-        free_gap, wrong_sign, grad, scale, _ = _certificate(problem, x, at_lo, at_up)
-        if free_gap <= _STAT_TOL * scale and wrong_sign <= _MULT_TOL * scale:
+        certificate = _certificate(problem, x, at_lo, at_up)
+        free_gap, wrong_sign, grad, scale, _ = certificate
+        converged = free_gap <= _STAT_TOL * scale and wrong_sign <= _MULT_TOL * scale
+        if converged or products >= max_iter:
             break
         before, projected, changed = x, not blocked, False
         if projected:
@@ -306,7 +308,7 @@ def _gpcg(problem, x):
         x, blocked = _face_cg(problem, matvec, x, grad, free, _STAT_TOL * scale, changed)
         if projected and np.array_equal(x, before):
             break
-    return x, products
+    return x, products, certificate
 
 
 def _projected_search(x, direction, alpha, grad, matvec, lower, upper, total, floor):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from wdmatch.data import (
     DomainDataset,
     SyntheticShiftSpec,
     from_json,
+    generate_synthetic_pair,
     standardize_pair,
     synthetic_pair_with_hidden_labels,
     to_json,
 )
-from wdmatch.errors import ConfigError, ValidationError
+from wdmatch.errors import ConfigError, ConvergenceError, ValidationError
 from wdmatch.evaluate import (
     DatasetFile,
     ExperimentConfig,
@@ -26,7 +28,8 @@ from wdmatch.evaluate import (
     stratified_folds,
     write_report,
 )
-from wdmatch.model import HyperParams
+from wdmatch.model import HingeDual, HyperParams, hinge_losses, hinge_subgradient
+from wdmatch.optimizer import halving_descent
 
 
 def synthetic_config(**overrides):
@@ -74,6 +77,19 @@ class TestAccuracy:
             accuracy(scores, labels)
 
 
+def regularised_hinge(data, c1):
+    """Value and subgradient of sum_i max(0, 1 - y_i x_i'c) + c1/2 c'c over the
+    labeled rows of ``data``, on a one-tuple (c,) as halving_descent takes."""
+    x, y = data.labeled_features, data.labels
+
+    def value(params):
+        return float(hinge_losses(x @ params[0], y).sum()) + 0.5 * c1 * params[0] @ params[0]
+
+    def gradient(params):
+        return (hinge_subgradient(x, y, params[0]) + c1 * params[0],)
+    return value, gradient
+
+
 class TestHingeBaselines:
     def test_separable_training_accuracy(self):
         rng = np.random.default_rng(0)
@@ -83,11 +99,40 @@ class TestHingeBaselines:
         assert accuracy(x @ w, y) == 1.0
 
     def test_hinge_at_zero_slack_is_active(self):
-        # The first unit step puts the point exactly on the margin (slack 0).
-        # Counted as active, its subgradient is -1 and the second step is taken;
-        # counted as inactive, descent would stop at w = 1.
-        w = baseline_source_only(DomainDataset([[1.0]], [1.0]), HyperParams(rho=1.0))
+        # At c1 = 0 the anchor runs the halving search. Its first unit step puts
+        # the point exactly on the margin (slack 0). Counted as active, its
+        # subgradient is -1 and the second step is taken; counted as inactive,
+        # descent would stop at w = 1.
+        w = baseline_source_only(DomainDataset([[1.0]], [1.0]), HyperParams(c1=0.0, rho=1.0))
         np.testing.assert_array_equal(w, [2.0])
+
+    @pytest.mark.parametrize("baseline", [baseline_source_only, baseline_target_only])
+    @pytest.mark.parametrize("seed, c1", [(0, 1.0), (1, 0.2), (2, 3.0)])
+    def test_not_above_long_halving_descent(self, baseline, seed, c1):
+        # At c1 > 0 the anchor minimizes the regularised hinge sum exactly: a
+        # long subgradient run on the same objective ends no lower.
+        spec = SyntheticShiftSpec(dim=4, samples=80, separation=2.0, noise=0.2, seed=seed)
+        data = generate_synthetic_pair(spec)[baseline is baseline_target_only]
+        value, gradient = regularised_hinge(data, c1)
+        exact = value((baseline(data, HyperParams(c1=c1)),))
+        reference = value(halving_descent(value, gradient, (np.zeros(4),), 2000, 0.1))
+        assert exact <= reference + 1e-10 * max(1.0, abs(reference))
+
+    def test_refused_solve_falls_back_with_one_warning(self, monkeypatch, caplog):
+        def refuse(*args):
+            raise ConvergenceError("refused")
+
+        spec = SyntheticShiftSpec(dim=3, samples=40, separation=2.0, seed=3)
+        source = generate_synthetic_pair(spec)[0]
+        hp = HyperParams(c1=0.5, rho=0.3, subgrad_iters=40)
+        monkeypatch.setattr(HingeDual, "solve", refuse)
+        with caplog.at_level(logging.WARNING, logger="wdmatch.optimizer"):
+            w = baseline_source_only(source, hp)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "not certified (refused)" in caplog.records[0].getMessage()
+        expected = halving_descent(*regularised_hinge(source, hp.c1), (np.zeros(3),),
+                                   hp.subgrad_iters, hp.rho)
+        np.testing.assert_array_equal(w, expected[0])
 
     def test_zero_shift_transfers(self):
         spec = SyntheticShiftSpec(dim=3, samples=300, separation=4.0, seed=6)

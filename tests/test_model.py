@@ -211,6 +211,10 @@ class TestHyperParams:
             for value in (np.nan, np.inf):
                 with pytest.raises(ValidationError, match=name):
                     HyperParams(**{name: value})
+        for name, value in (("c1", "1"), ("tol", None), ("c1", True)):
+            with pytest.raises(ValidationError,
+                               match=f"^{name} must be a real number, got {value!r}$"):
+                HyperParams(**{name: value})
 
     @pytest.mark.parametrize("change, message", [
         ({"c2": -1.0}, "^trade-off weights must be nonnegative$"),

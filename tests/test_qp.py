@@ -76,6 +76,33 @@ class TestProductCount:
         assert sol.iterations == products
         assert len(calls) == sol.iterations + len(certificates) + 1
 
+    @PINNED
+    def test_no_point_certified_twice(self, problem, products, monkeypatch):
+        # The solve reuses GPCG's last certificate, whose point it returns.
+        certificate, points = wdmatch.qp._certificate, []
+
+        def spy(problem, x, at_lo, at_up):
+            points.append(x)
+            return certificate(problem, x, at_lo, at_up)
+
+        monkeypatch.setattr(wdmatch.qp, "_certificate", spy)
+        sol = solve_qp(problem())
+        np.testing.assert_array_equal(points[-1], sol.x)
+        assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+
+    def test_certificate_at_the_product_cap(self, monkeypatch):
+        # No certificate can pass GPCG's stop test now, so on this QP it runs
+        # to its cap; the solve is still judged at the point it returns.
+        problem = random_problem(4, n=12, ridge=1e-3)
+        for name, value in (("_STAT_TOL", 1e-300), ("_MULT_TOL", -1.0), ("_HX_ROUNDING", 0.0)):
+            monkeypatch.setattr(wdmatch.qp, name, value)
+        sol = solve_qp(problem)
+        assert sol.iterations >= 50 * problem.n
+        at_lo, at_up = sol.x <= problem.lower, sol.x >= problem.upper
+        free_gap, wrong_sign, *_ = wdmatch.qp._certificate(problem, sol.x, at_lo, at_up)
+        assert sol.kkt_residual == max(free_gap, wrong_sign, abs(sol.x.sum() - problem.eq_target))
+        assert sol.objective == problem.objective(sol.x)
+
 
 class TestProblemValidation:
     def test_array_hessian_rejected(self):
@@ -251,7 +278,9 @@ class TestSolutionCertificates:
         # A certificate within its 1e-6 limit can still sit above the start:
         # min 1e-7 x over [0, 1], started at x = 0 and certified at x = 1.
         problem = BoxEqQP(MatrixOperator(np.zeros((1, 1))), [1e-7], [0.0], [1.0], None)
-        monkeypatch.setattr(wdmatch.qp, "_gpcg", lambda problem, x: (np.ones(1), 0))
+        top = np.ones(1)
+        certified = wdmatch.qp._certificate(problem, top, top <= 0.0, top >= 1.0)
+        monkeypatch.setattr(wdmatch.qp, "_gpcg", lambda problem, x: (top, 0, certified))
         with pytest.raises(ConvergenceError,
                            match="^solver ended above the warm-start objective$"):
             solve_qp(problem, start=[0.0])
