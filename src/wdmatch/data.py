@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError, settle
+from .errors import ConfigError, ParseError, ValidationError, check_numbers, settle
 
 UNLABELED_TOKEN = "?"
 
@@ -306,6 +306,7 @@ class SyntheticShiftSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self, ("dim", "samples", "seed"), ("separation", "angle", "noise"))
         if self.dim < 2:
             raise ValidationError("dim must be at least 2")
         if self.samples < 4:
@@ -324,6 +325,8 @@ class SyntheticShiftSpec:
                     f"translation has length {vec.size}, expected {self.dim}"
                 )
             shift = vec
+        if not np.all(np.isfinite(shift)):
+            raise ValidationError("translation must be finite")
         settle(self, translation=tuple(float(v) for v in shift))
 
 

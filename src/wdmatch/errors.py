@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and :func:`settle`, the one way
-a frozen record stores its normalized fields."""
+"""Exception types shared across the package; :func:`settle`, the one way a
+frozen record stores its normalized fields; and :func:`check_numbers`, the one
+type check of its numeric fields."""
 
 import numpy as np
 
@@ -43,3 +44,20 @@ def settle(record, **values):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
         object.__setattr__(record, name, value)
+
+
+def check_numbers(record, integers=(), reals=()):
+    """Raise :class:`ValidationError` naming the first field of ``record`` in
+    ``integers`` that is not an integer, or in ``reals`` that is not a finite
+    real number. A bool is neither; a numpy scalar of the matching kind passes."""
+    for name in integers:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    for name in reals:
+        value = getattr(record, name)
+        real = isinstance(value, (int, float, np.integer, np.floating))
+        if isinstance(value, bool) or not real:
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        if not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite")

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import DomainDataset
-from .errors import ValidationError, settle
+from .errors import ValidationError, check_numbers, settle
 from .neighborhood import NeighborhoodGraph
 from .qp import BoxEqQP, solve_qp
 
@@ -169,17 +169,8 @@ class HyperParams:
     tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("k", "outer_iters", "subgrad_iters") + (() if self.r is None else ("r",)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        for name in ("c1", "c2", "c3", "delta", "rho", "tol"):
-            value = getattr(self, name)
-            real = isinstance(value, (int, float, np.integer, np.floating))
-            if isinstance(value, bool) or not real:
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
-            if not np.isfinite(value):
-                raise ValidationError(f"{name} must be finite")
+        counts = ("k", "outer_iters", "subgrad_iters") + (() if self.r is None else ("r",))
+        check_numbers(self, counts, ("c1", "c2", "c3", "delta", "rho", "tol"))
         if min(self.c1, self.c2, self.c3) < 0.0:
             raise ValidationError("trade-off weights must be nonnegative")
         if self.r is not None and self.r < 1:
@@ -277,7 +268,16 @@ class HingeDual:
     basis: np.ndarray
 
     @classmethod
-    def build(cls, hinge_rows: np.ndarray, c1: float, curvature: np.ndarray) -> "HingeDual":
+    def build(cls, domain: DomainDataset, c1: float, curvature=None) -> "HingeDual | None":
+        """The dual over ``domain``'s labeled rows signed by label, with S =
+        ``curvature`` (empty if None); None at c1 = 0, where H need not be
+        positive definite. A c1 > 0 too small for GPCG's curvature products
+        raises :class:`ValidationError`."""
+        if c1 == 0.0:
+            return None
+        hinge_rows = domain.labels[:, None] * domain.labeled_features
+        if curvature is None:
+            curvature = np.zeros((0, domain.dim))
         # For p rows of m entries at most g, s = p m g^2 / c1 bounds the dual's
         # Hessian and gradient, and p s^3 GPCG's curvature products.
         entry = float(np.abs(hinge_rows).max(initial=0.0))
@@ -317,16 +317,15 @@ class Problem:
     weights pi. The instance-weight QP applies ``I - W`` straight from the
     source graph's (n, k) arrays, so nothing of size n x n is stored.
 
-    For c1 > 0 it also carries the :class:`HingeDual` of each effective
-    classifier: ``source_dual`` for phi (rows y_i x_i, H = c1 I, S empty) and
-    ``target_dual`` for psi (labeled target rows, H = c1 I + 2 c2 R'R, S =
-    sqrt(2 c2) R with R the residual matrix). At c1 = 0 neither H is positive
-    definite and both are None. A c2 for which sqrt(2 c2) R overflows is
-    rejected at every c1, and :meth:`HingeDual.build` rejects a c1 > 0 too
-    small for either dual. Likewise a c3 for which n s^3 overflows is
-    rejected, with s = c3 m g^2 min(delta, n) for g the largest feature entry
-    of either domain: it bounds the pi QP's mean-matching curvature and
-    gradient over n source points.
+    It also carries the :meth:`HingeDual.build` of each effective classifier:
+    ``source_dual`` for phi (H = c1 I, S empty) and ``target_dual`` for psi
+    (H = c1 I + 2 c2 R'R, S = sqrt(2 c2) R with R the residual matrix), both
+    None at c1 = 0. A c2 for which sqrt(2 c2) R overflows is rejected at every
+    c1, and :meth:`HingeDual.build` rejects a c1 > 0 too small for either
+    dual. Likewise a c3 for which n s^3 overflows is rejected, with s = c3 m
+    g^2 min(delta, n) for g the largest feature entry of either domain: it
+    bounds the pi QP's mean-matching curvature and gradient over n source
+    points.
     """
 
     source: DomainDataset
@@ -361,13 +360,8 @@ class Problem:
         if not np.isfinite(source.n * scale * scale * scale):
             raise ValidationError("c3 is too large: the instance-weight QP's curvature "
                                   "products overflow")
-        source_dual = target_dual = None
-        if self.hp.c1 > 0.0:
-            source_dual = HingeDual.build(source.labels[:, None] * source.features,
-                                          self.hp.c1, np.zeros((0, source.dim)))
-            target_dual = HingeDual.build(target.labels[:, None] * target.labeled_features,
-                                          self.hp.c1, c2_root * self.residuals)
-        settle(self, source_dual=source_dual, target_dual=target_dual)
+        settle(self, source_dual=HingeDual.build(source, self.hp.c1),
+               target_dual=HingeDual.build(target, self.hp.c1, c2_root * self.residuals))
 
     def source_mean(self, pi: np.ndarray) -> np.ndarray:
         """The pi-weighted raw source mean X' pi / n."""

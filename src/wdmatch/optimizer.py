@@ -50,8 +50,9 @@ class OptState:
     ``theta`` with its w re-solve, ``pi``), together with the constraint
     residuals that the update is responsible for. A ``phi_psi`` entry also
     holds the Hessian products and KKT residuals of its two dual solves
-    (``dual_products``, ``dual_kkt``), read from :attr:`BlockStep.duals`; they
-    are (0, 0) and (None, None) where the halving search ran.
+    (``dual_products``, ``dual_kkt``), read from the QPSolutions that
+    :func:`update_phi_psi` returns; they are (0, 0) and (None, None) where the
+    halving search ran.
     Every entry records whether it ``kept`` the incumbent because the block's
     candidate scored strictly higher. The trace may not rise at all.
     """
@@ -203,28 +204,14 @@ def subgradients(problem: Problem, phi, psi, shared, pi):
     return g_phi, g_psi
 
 
-@dataclass(frozen=True)
-class BlockStep:
-    """The candidate (phi, psi) of one block update.
-
-    ``duals`` is the pair (alpha, beta) of :class:`~wdmatch.qp.QPSolution` of
-    the two hinge duals, which warm-starts the next block and reports each
-    solve's Hessian products and KKT residual. It is None where the halving
-    search ran instead (see :func:`update_phi_psi`).
-    """
-
-    phi: np.ndarray
-    psi: np.ndarray
-    duals: tuple | None
-
-
 def _train_hinge(solves, value, gradient, start, hp: HyperParams) -> tuple:
     """The classifiers of ``solves``, one (dual, shift, upper, warm) each for
-    :meth:`~wdmatch.model.HingeDual.solve`, and the duals' QPSolutions. At
-    c1 = 0, and after a WARNING line when a solve is not certified, it runs
-    :func:`halving_descent` on ``value`` and ``gradient`` from ``start``, with
-    ``hp.subgrad_iters`` steps from ``hp.rho``, and the solutions are None."""
-    if hp.c1 > 0.0:
+    :meth:`~wdmatch.model.HingeDual.solve`, and the duals' QPSolutions. Where
+    a dual is None (c1 = 0), and after a WARNING line when a solve is not
+    certified, it runs :func:`halving_descent` on ``value`` and ``gradient``
+    from ``start``, with ``hp.subgrad_iters`` steps from ``hp.rho``, and the
+    solutions are None."""
+    if all(dual is not None for dual, *_ in solves):
         try:
             return tuple(zip(*[d.solve(b, u, w) for d, b, u, w in solves]))
         except ConvergenceError as exc:
@@ -232,7 +219,7 @@ def _train_hinge(solves, value, gradient, start, hp: HyperParams) -> tuple:
     return halving_descent(value, gradient, start, hp.subgrad_iters, hp.rho), None
 
 
-def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockStep:
+def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> tuple:
     """Minimize the (phi, psi) block exactly through its two hinge duals.
 
     For c1 > 0 the block splits into two strongly convex problems, one per
@@ -241,8 +228,10 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
     A = diag(y) X and 0 <= alpha <= pi, and psi = H^-1 (c1 s + B'beta) with
     B the labeled target rows signed by label, 0 <= beta <= 1 and
     H = c1 I + 2 c2 R'R. Here s = ``shared``. Each is a box-only QP that its
-    :meth:`~wdmatch.model.HingeDual.solve` hands to GPCG. ``duals`` is the
-    previous block's :attr:`BlockStep.duals`; the solves warm-start from its
+    :meth:`~wdmatch.model.HingeDual.solve` hands to GPCG. It returns the
+    candidate ``(phi, psi)`` and the pair (alpha, beta) of the duals'
+    :class:`~wdmatch.qp.QPSolution`, or None where the halving search ran.
+    ``duals`` is the previous block's pair; the solves warm-start from its
     alpha clipped to ``pi`` (a zero-width box where pi is 0) and its beta.
 
     At c1 = 0, where the block is not strongly convex, and when a dual solve is
@@ -254,13 +243,12 @@ def update_phi_psi(problem: Problem, phi, psi, shared, pi, duals=None) -> BlockS
     """
     shift = problem.hp.c1 * np.asarray(shared, dtype=np.float64)
     alpha, beta = (None, None) if duals is None else (np.minimum(duals[0].x, pi), duals[1].x)
-    (phi, psi), duals = _train_hinge(
+    return _train_hinge(
         [(problem.source_dual, shift, pi, alpha),
          (problem.target_dual, shift, np.ones(problem.target.labeled_count), beta)],
         lambda p: q_value(problem, *p, shared, pi),
         lambda p: subgradients(problem, *p, shared, pi),
         (np.asarray(phi, dtype=np.float64), np.asarray(psi, dtype=np.float64)), problem.hp)
-    return BlockStep(phi, psi, duals)
 
 
 def train_anchor(dataset: DomainDataset, hp: HyperParams, empty: str) -> np.ndarray:
@@ -270,10 +258,8 @@ def train_anchor(dataset: DomainDataset, hp: HyperParams, empty: str) -> np.ndar
     if dataset.labeled_count == 0:
         raise ValidationError(empty)
     features, labels, zeros = dataset.labeled_features, dataset.labels, np.zeros(dataset.dim)
-    dual = None if hp.c1 == 0.0 else HingeDual.build(
-        labels[:, None] * features, hp.c1, np.zeros((0, dataset.dim)))
     (c,), _ = _train_hinge(
-        [(dual, zeros, np.ones(labels.size), None)],
+        [(HingeDual.build(dataset, hp.c1), zeros, np.ones(labels.size), None)],
         lambda p: float(hinge_losses(features @ p[0], labels).sum()) + 0.5 * hp.c1 * p[0] @ p[0],
         lambda p: (hinge_subgradient(features, labels, p[0]) + hp.c1 * p[0],), (zeros,), hp)
     return c
@@ -400,10 +386,9 @@ def fit(
     state = snapshot(0)
     for iteration in range(1, hp.outer_iters + 1):
         try:
-            block = update_phi_psi(problem, model.phi, model.psi,
-                                   model.theta.T @ model.w, weights.pi, duals)
-            duals = block.duals
-            step(iteration, "phi_psi", replace(model, phi=block.phi, psi=block.psi),
+            (phi, psi), duals = update_phi_psi(problem, model.phi, model.psi,
+                                               model.theta.T @ model.w, weights.pi, duals)
+            step(iteration, "phi_psi", replace(model, phi=phi, psi=psi),
                  weights, dual_products=tuple(s.iterations for s in duals or ()) or (0, 0),
                  dual_kkt=tuple(s.kkt_residual for s in duals or ()) or (None, None))
 

@@ -96,8 +96,8 @@ class QPSolution:
     """Solver output: feasible point, objective value and a KKT certificate.
 
     ``iterations`` counts the Hessian products of GPCG's two phases. Not
-    counted are the KKT certificates' gradients and the start objective,
-    which add one product per round and one per solve.
+    counted are the KKT certificates' gradients and a warm start's objective,
+    which add one product per round and one per warm solve.
     """
 
     x: np.ndarray
@@ -245,7 +245,8 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
             raise ValidationError("start point is not feasible")
         if bound_gap > 0.0 or sum_gap > 1e-12 * max(1.0, abs(problem.eq_target or 0.0)):
             x = project_feasible(x, lower, upper, problem.eq_target)
-    start_objective = problem.objective(x)
+        start_objective = problem.objective(x)
+        ceiling = start_objective + 1e-9 * max(1.0, abs(start_objective))
 
     x, iterations, (free_gap, wrong_sign, _, scale, h_x) = _gpcg(problem, x)
     residual = max(free_gap, wrong_sign, _sum_gap(problem, x))
@@ -255,8 +256,7 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
             f"KKT residual {residual:.3e}"
         )
     objective = float(0.5 * x @ h_x + problem.lin @ x)  # problem.objective(x), from its Hx
-    slack = 1e-9 * max(1.0, abs(start_objective))
-    if start is not None and objective > start_objective + slack:
+    if start is not None and objective > ceiling:
         raise ConvergenceError("solver ended above the warm-start objective")
     return QPSolution(x=x, objective=objective, iterations=iterations, kkt_residual=residual)
 

@@ -83,6 +83,17 @@ def test_negative_seed_exit_1(tmp_path, capsys, command, payload, flags):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [("angle", float("inf")), ("separation", float("nan"))])
+def test_non_finite_synth_spec_exit_1(tmp_path, capsys, field, value):
+    # JSON's Infinity and NaN reach the spec, which names the field before
+    # numpy meets the value.
+    spec = {**synthetic_payload()["synthetic"], field: value}
+    path = str(write_config(tmp_path, spec))
+    assert main(["synth", "--spec", path, "--out-prefix", str(tmp_path / "pair") + "/"]) == 1
+    assert capsys.readouterr().err == f"error: {field} must be finite\n"
+    assert not (tmp_path / "pair").exists()
+
+
 class TestCvCommand:
     def test_happy_path(self, tmp_path, capsys):
         config = write_config(tmp_path, synthetic_payload())

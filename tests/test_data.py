@@ -322,6 +322,20 @@ class TestSyntheticPair:
         with pytest.raises(ValidationError):
             SyntheticShiftSpec(dim=3, samples=10, separation=1.0, translation=[1.0, 2.0])
 
+    @pytest.mark.parametrize("change, message", [
+        ({"dim": 2.5}, "^dim must be an integer, got 2.5$"),
+        ({"samples": 10.5}, "^samples must be an integer, got 10.5$"),
+        ({"seed": 1.5}, "^seed must be an integer, got 1.5$"),
+        ({"separation": np.nan}, "^separation must be finite$"),
+        ({"angle": np.inf}, "^angle must be finite$"),
+        ({"noise": np.nan}, "^noise must be finite$"),
+        ({"translation": -np.inf}, "^translation must be finite$"),
+        ({"translation": [0.0, np.nan]}, "^translation must be finite$"),
+    ])
+    def test_spec_numbers_checked(self, change, message):
+        with pytest.raises(ValidationError, match=message):
+            SyntheticShiftSpec(**{"dim": 2, "samples": 10, "separation": 1.0, **change})
+
     def test_deterministic(self):
         spec = SyntheticShiftSpec(
             dim=3, samples=24, separation=2.0, angle=0.4, translation=[0.1, 0.0, -0.2],

@@ -543,11 +543,17 @@ class TestHingeDual:
         c1 = 0.3
         values, vectors = np.linalg.eigh(c1 * np.eye(m) + curvature.T @ curvature)
         root = (vectors / np.sqrt(values)) @ vectors.T
-        dual = HingeDual.build(hinge_rows, c1, curvature)
+        dual = HingeDual.build(DomainDataset(hinge_rows, np.ones(9)), c1, curvature)
         np.testing.assert_allclose(dual.lift(np.eye(m)), root, rtol=0.0, atol=1e-12)
         for v in rng.standard_normal((3, m)):
             np.testing.assert_allclose(dual.lift(v), root @ v, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(dual.rows, hinge_rows @ root, rtol=0.0, atol=1e-12)
+
+    def test_no_dual_at_zero_c1(self):
+        dataset = DomainDataset([[1.0, 2.0], [3.0, 4.0]], [1.0, -1.0])
+        assert HingeDual.build(dataset, 0.0) is None
+        dual = HingeDual.build(dataset, 4.0)
+        np.testing.assert_array_equal(dual.rows, [[0.5, 1.0], [-1.5, -2.0]])
 
     def test_problem_memory_is_linear_in_m(self):
         import tracemalloc

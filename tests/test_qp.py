@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wdmatch.qp
+from wdmatch.data import DomainDataset
 from wdmatch.errors import ConvergenceError, InfeasibleProblemError, ValidationError
 from wdmatch.neighborhood import NeighborhoodGraph
 from wdmatch.optimizer import InstanceWeightHessian
@@ -57,8 +58,9 @@ class TestProductCount:
 
     @PINNED
     def test_uncounted_products(self, problem, products, monkeypatch):
-        # Beyond the phases' products, each KKT certificate takes one and the
-        # start objective one; the solution is scored from the last certificate.
+        # Beyond the phases' products, each KKT certificate takes one and a
+        # warm start's objective one; the solution is scored from the last
+        # certificate.
         qp, certificate = problem(), wdmatch.qp._certificate
         calls, certificates = [], []
 
@@ -72,9 +74,14 @@ class TestProductCount:
             return certificate(*args)
 
         monkeypatch.setattr(wdmatch.qp, "_certificate", counted)
-        sol = solve_qp(BoxEqQP(Spy(), qp.lin, qp.lower, qp.upper, qp.eq_target))
+        spied = BoxEqQP(Spy(), qp.lin, qp.lower, qp.upper, qp.eq_target)
+        sol = solve_qp(spied)
         assert sol.iterations == products
-        assert len(calls) == sol.iterations + len(certificates) + 1
+        assert len(calls) == sol.iterations + len(certificates) + 0
+        calls.clear()
+        certificates.clear()
+        warm = solve_qp(spied, wdmatch.qp._interior_start(qp))
+        assert len(calls) == warm.iterations + len(certificates) + 1
 
     @PINNED
     def test_no_point_certified_twice(self, problem, products, monkeypatch):
@@ -539,7 +546,7 @@ class ScaledOperator:
 
 def hinge_gram(rows):
     """The hinge-dual operator K K' for rows K: H = I, so ``rows`` stay K."""
-    return HingeDual.build(rows, 1.0, np.zeros((0, rows.shape[1])))
+    return HingeDual.build(DomainDataset(rows, np.ones(len(rows))), 1.0)
 
 
 class TestBoxQP:
