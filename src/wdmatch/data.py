@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError, check_numbers, settle
+from .errors import ConfigError, ParseError, ValidationError, check_numbers, is_real, settle
 
 UNLABELED_TOKEN = "?"
 
@@ -315,6 +315,9 @@ class SyntheticShiftSpec:
             raise ValidationError("noise rate must lie in [0, 1]")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
+        if not all(map(is_real, np.asarray(self.translation, dtype=object).reshape(-1))):
+            raise ValidationError("translation must be a real number or a list of them, "
+                                  f"got {self.translation!r}")
         shift = np.zeros(self.dim)
         if np.ndim(self.translation) == 0:
             shift[0] = float(self.translation)

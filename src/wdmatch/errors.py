@@ -46,6 +46,11 @@ def settle(record, **values):
         object.__setattr__(record, name, value)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: a bool is not, a numpy scalar is."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_numbers(record, integers=(), reals=()):
     """Raise :class:`ValidationError` naming the first field of ``record`` in
     ``integers`` that is not an integer, or in ``reals`` that is not a finite
@@ -56,8 +61,7 @@ def check_numbers(record, integers=(), reals=()):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     for name in reals:
         value = getattr(record, name)
-        real = isinstance(value, (int, float, np.integer, np.floating))
-        if isinstance(value, bool) or not real:
+        if not is_real(value):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
         if not np.isfinite(value):
             raise ValidationError(f"{name} must be finite")

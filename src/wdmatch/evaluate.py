@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -187,18 +188,20 @@ def _train_and_score(method: str, source, target, hp: HyperParams, x):
     return classify_target(state.model, x), state
 
 
-def _fold_worker(payload):
-    source, target, hp, test_idx, methods, want_terms = payload
+def _fold_worker(source, target, config: ExperimentConfig, source_only, test_idx):
+    """Score every method on the fold that holds out ``test_idx``; the
+    source-only SVM ``source_only`` is trained once per run and only scored here."""
     fold_target, test_x, test_y = hold_out_fold(target, test_idx)
     out = {}
-    for method in methods:
+    for method in (PROPOSED,) + config.baselines:
         started = time.perf_counter()
-        scores, state = _train_and_score(method, source, fold_target, hp, test_x)
+        scores, state = ((test_x @ source_only, None) if method == SOURCE_ONLY else
+                         _train_and_score(method, source, fold_target, config.hp, test_x))
         fitted = state is not None
         out[method] = {
             "accuracy": accuracy(scores, test_y),
             "trace": list(state.objective_trace) if fitted else None,
-            "terms": list(state.term_trace) if fitted and want_terms else None,
+            "terms": list(state.term_trace) if fitted and config.trace else None,
             "seconds": time.perf_counter() - started,
         }
     return out
@@ -212,17 +215,15 @@ def run_cv(config: ExperimentConfig) -> dict:
     """
     source, target = resolve_datasets(config)
     folds = stratified_folds(target.labels, config.folds, config.seed)
-    methods = (PROPOSED,) + config.baselines
-    payloads = [
-        (source, target, config.hp, test_idx, methods, config.trace)
-        for test_idx in folds
-    ]
+    source_only = (baseline_source_only(source, config.hp)
+                   if SOURCE_ONLY in config.baselines else None)
+    task = partial(_fold_worker, source, target, config, source_only)
     if config.parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(config.parallel, len(payloads))) as pool:
-            fold_results = list(pool.map(_fold_worker, payloads))
+        with ProcessPoolExecutor(max_workers=min(config.parallel, len(folds))) as pool:
+            fold_results = list(pool.map(task, folds))
     else:
-        fold_results = [_fold_worker(p) for p in payloads]
+        fold_results = list(map(task, folds))
 
     report = {
         "config": to_json(config),
@@ -230,7 +231,7 @@ def run_cv(config: ExperimentConfig) -> dict:
         "fold_test_indices": [[int(i) for i in idx] for idx in folds],
         "methods": {},
     }
-    for method in methods:
+    for method in (PROPOSED,) + config.baselines:
         results = [fold[method] for fold in fold_results]
         per_fold = [result["accuracy"] for result in results]
         seconds = [result["seconds"] for result in results]

@@ -193,14 +193,6 @@ class HyperParams:
         return r
 
 
-def classify_source(model: TransferModel, x: np.ndarray) -> np.ndarray | float:
-    """Source-domain decision score phi'x (vector in, scalar out)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.m:
-        raise ValidationError("input dimension does not match the model")
-    return x @ model.phi
-
-
 def classify_target(model: TransferModel, x: np.ndarray) -> np.ndarray | float:
     """Target-domain decision score psi'x."""
     x = np.asarray(x, dtype=np.float64)
@@ -325,7 +317,9 @@ class Problem:
     dual. Likewise a c3 for which n s^3 overflows is rejected, with s = c3 m
     g^2 min(delta, n) for g the largest feature entry of either domain: it
     bounds the pi QP's mean-matching curvature and gradient over n source
-    points.
+    points. So is a c2 for which n s^3 overflows with s = 4 c2 (1 + the
+    largest column sum of the source graph's W) min(delta, n), which bounds
+    the smoothness part of the pi QP's Hx over its box.
     """
 
     source: DomainDataset
@@ -355,11 +349,15 @@ class Problem:
             raise ValidationError("c2 is too large: sqrt(2 c2) R overflows")
         entry = max(float(np.abs(source.features).max()),
                     float(np.abs(target.features).max()))
-        scale = float(self.hp.c3) * min(float(self.hp.delta), source.n)
-        scale = scale * source.dim * entry * entry  # float: inf, no warning
-        if not np.isfinite(source.n * scale * scale * scale):
-            raise ValidationError("c3 is too large: the instance-weight QP's curvature "
-                                  "products overflow")
+        graph = self.source_graph
+        column_sum = float(np.bincount(graph.neighbors.ravel(), graph.weights.ravel(),
+                                       minlength=source.n).max())
+        box = min(float(self.hp.delta), source.n)
+        for name, scale in (("c3", float(self.hp.c3) * box * source.dim * entry * entry),
+                            ("c2", 4.0 * float(self.hp.c2) * (1.0 + column_sum) * box)):
+            if not np.isfinite(source.n * scale * scale * scale):  # floats: inf, no warning
+                raise ValidationError(f"{name} is too large: the instance-weight QP's "
+                                      "curvature products overflow")
         settle(self, source_dual=HingeDual.build(source, self.hp.c1),
                target_dual=HingeDual.build(target, self.hp.c1, c2_root * self.residuals))
 

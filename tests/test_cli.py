@@ -265,6 +265,16 @@ class TestFitCommand:
         assert err.startswith("error: c2 ") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("c2", [1e150, 1e300], ids=["1e150", "1e300"])
+    def test_overflowing_c2_products_exit_1(self, tmp_path, capsys, c2):
+        # sqrt(2 c2) R is finite, but the instance-weight QP's smoothness
+        # products overflow inside GPCG.
+        config = write_config(tmp_path, synthetic_payload(hyperparams={"c2": c2}))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: c2 ") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("c3", [1e150, 1e300], ids=["1e150", "1e300"])
     def test_overflowing_c3_exit_1(self, tmp_path, capsys, c3):
         # The instance-weight QP's mean-matching products overflow inside GPCG.

@@ -331,6 +331,12 @@ class TestSyntheticPair:
         ({"noise": np.nan}, "^noise must be finite$"),
         ({"translation": -np.inf}, "^translation must be finite$"),
         ({"translation": [0.0, np.nan]}, "^translation must be finite$"),
+        ({"translation": "a"}, "^translation must be a real number or a list of them, got 'a'$"),
+        ({"translation": [1.0, "a"]}, "^translation must be a real number or a list of them"),
+        ({"translation": None}, "^translation must be a real number or a list of them, got None$"),
+        ({"translation": {"x": 1}}, "^translation must be a real number or a list of them"),
+        ({"translation": True}, "^translation must be a real number or a list of them, got True$"),
+        ({"translation": [True, 0.0]}, "^translation must be a real number or a list of them"),
     ])
     def test_spec_numbers_checked(self, change, message):
         with pytest.raises(ValidationError, match=message):

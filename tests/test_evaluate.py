@@ -17,6 +17,7 @@ from wdmatch.data import (
 )
 from wdmatch.errors import ConfigError, ConvergenceError, ValidationError
 from wdmatch.evaluate import (
+    BASELINES,
     DatasetFile,
     ExperimentConfig,
     accuracy,
@@ -44,6 +45,28 @@ def synthetic_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def serial_pool(monkeypatch):
+    """Run ``run_cv``'s process pool in this process; returns the list of the
+    worker counts the pools were opened with."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return pools
 
 
 def strip_timing(report):
@@ -328,25 +351,30 @@ class TestRunCV:
     def test_parallel_workers_capped_at_fold_count(self, monkeypatch):
         # A pool may fork all its workers at its first task, and a worker past
         # the fold count would have nothing to run.
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        pools = serial_pool(monkeypatch)
         report = run_cv(synthetic_config(folds=2, parallel=100_000))
         assert pools == [2]
         assert report["config"]["parallel"] == 100_000
+
+    @pytest.mark.parametrize("baselines, trainings", [
+        (BASELINES, 1),
+        (("target-only", "no-adaptation"), 0),
+    ])
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_source_only_trained_once_per_run(self, monkeypatch, parallel, baselines,
+                                              trainings):
+        # No fold changes the source, so its SVM is the same in every fold.
+        calls = []
+
+        def spy(source, hp):
+            calls.append(source.n)
+            return baseline_source_only(source, hp)
+
+        monkeypatch.setattr("wdmatch.evaluate.baseline_source_only", spy)
+        serial_pool(monkeypatch)
+        report = run_cv(synthetic_config(parallel=parallel, baselines=baselines))
+        assert len(calls) == trainings
+        assert len(report["methods"]["proposed"]["fold_accuracies"]) == 4
 
     def test_trace_adds_term_traces(self):
         report = run_cv(synthetic_config(trace=True, baselines=("source-only",)))

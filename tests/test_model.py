@@ -12,7 +12,6 @@ from wdmatch.model import (
     Problem,
     SourceWeights,
     TransferModel,
-    classify_source,
     classify_target,
     hinge_losses,
     objective,
@@ -361,7 +360,6 @@ class TestMatchingDistance:
 class TestClassifiers:
     def test_zero_classifier(self):
         model = TransferModel(np.eye(2), [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
-        assert classify_source(model, [5.0, -3.0]) == 0.0
         assert classify_target(model, [5.0, -3.0]) == 0.0
 
     def test_no_adaptation_reduces_to_common_classifier(self):
@@ -369,8 +367,6 @@ class TestClassifiers:
         theta = random_orthonormal_rows(rng, 2, 4)
         w = rng.standard_normal(2)
         model = TransferModel(theta, w, theta.T @ w, theta.T @ w)
-        x = rng.standard_normal(4)
-        assert classify_source(model, x) == pytest.approx(w @ theta @ x, abs=1e-12)
         np.testing.assert_allclose(model.u, 0.0, atol=1e-12)
 
     def test_reparameterization_identity(self):
@@ -381,9 +377,6 @@ class TestClassifiers:
         )
         for _ in range(100):
             x = rng.standard_normal(5)
-            direct = classify_source(model, x)
-            split = model.w @ theta @ x + model.u @ x
-            assert direct == pytest.approx(split, abs=1e-9)
             direct_t = classify_target(model, x)
             split_t = model.w @ theta @ x + model.v @ x
             assert direct_t == pytest.approx(split_t, abs=1e-9)
@@ -395,11 +388,11 @@ class TestClassifiers:
             theta, rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(3)
         )
         batch = rng.standard_normal((6, 3))
-        scores = classify_source(model, batch)
+        scores = classify_target(model, batch)
         for i in range(6):
-            assert scores[i] == pytest.approx(classify_source(model, batch[i]))
+            assert scores[i] == pytest.approx(classify_target(model, batch[i]))
 
-    @pytest.mark.parametrize("classify", [classify_source, classify_target])
+    @pytest.mark.parametrize("classify", [classify_target])
     def test_input_dimension_checked(self, classify):
         model = TransferModel(np.eye(2), [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValidationError,
