@@ -20,6 +20,7 @@ from .data import (
 )
 from .errors import ConvergenceError, ValidationError
 from .evaluate import load_experiment_config, resolve_datasets, run_cv, write_report
+from .model import HyperParams
 from .neighborhood import build_graph
 from .optimizer import fit
 
@@ -71,7 +72,7 @@ def _build_parser() -> _Parser:
     p_graph.add_argument("--format", default=DENSE_CSV, choices=FORMATS)
     p_graph.add_argument("--n-features", type=int, default=None,
                          help="declared dimension for sparse input")
-    p_graph.add_argument("--k", type=int, default=5)
+    p_graph.add_argument("--k", type=int, default=HyperParams.k)
     p_graph.add_argument("--out", required=True)
     return parser
 

@@ -318,7 +318,10 @@ class SyntheticShiftSpec:
         if not all(map(is_real, np.asarray(self.translation, dtype=object).reshape(-1))):
             raise ValidationError("translation must be a real number or a list of them, "
                                   f"got {self.translation!r}")
-        shift = np.zeros(self.dim)
+        try:
+            shift = np.zeros(self.dim)
+        except (ValueError, MemoryError):
+            raise ValidationError(f"dim {self.dim} is too large for numpy to allocate") from None
         if np.ndim(self.translation) == 0:
             shift[0] = float(self.translation)
         else:
@@ -445,16 +448,6 @@ def _draw_domain(rng: np.random.Generator, spec: SyntheticShiftSpec):
     return points[order], labels[order]
 
 
-def _rotation(dim: int, angle: float) -> np.ndarray:
-    rot = np.eye(dim)
-    c, s = np.cos(angle), np.sin(angle)
-    rot[0, 0] = c
-    rot[0, 1] = -s
-    rot[1, 0] = s
-    rot[1, 1] = c
-    return rot
-
-
 def generate_synthetic_pair(spec: SyntheticShiftSpec):
     """Generate a (source, target) pair; pure function of the spec.
 
@@ -470,10 +463,17 @@ def synthetic_pair_with_hidden_labels(spec: SyntheticShiftSpec):
     """Like :func:`generate_synthetic_pair`, also returning the true labels of
     the target rows that the returned target dataset leaves unlabeled."""
     rng = np.random.default_rng(spec.seed)
-    xs, ys = _draw_domain(rng, spec)
-    xt, yt = _draw_domain(rng, spec)
-    xt = xt @ _rotation(spec.dim, spec.angle).T
-    xt = xt + spec.translation
+    try:  # numpy refuses, or fails to allocate, the rows of an oversized spec
+        xs, ys = _draw_domain(rng, spec)
+        xt, yt = _draw_domain(rng, spec)
+        c, s = np.cos(spec.angle), np.sin(spec.angle)  # x -> R x, R = [[c, -s], [s, c]]
+        xt[:, :2] = xt[:, :2] @ np.array([[c, s], [-s, c]])
+        xt += spec.translation
+    except (ValueError, MemoryError):
+        raise ValidationError(
+            f"synthetic spec is too large: numpy cannot allocate {spec.samples} "
+            f"samples of {spec.dim} features"
+        ) from None
     n3 = -(-spec.samples // 10)  # ceil(n / 10)
     source = DomainDataset(xs, ys)
     target = DomainDataset(xt, yt[:n3])

@@ -1,6 +1,6 @@
 """Exception types shared across the package; :func:`settle`, the one way a
 frozen record stores its normalized fields; and :func:`check_numbers`, the one
-type check of its numeric fields."""
+type check of its numeric fields, which stores them as Python numbers."""
 
 import numpy as np
 
@@ -54,14 +54,17 @@ def is_real(value) -> bool:
 def check_numbers(record, integers=(), reals=()):
     """Raise :class:`ValidationError` naming the first field of ``record`` in
     ``integers`` that is not an integer, or in ``reals`` that is not a finite
-    real number. A bool is neither; a numpy scalar of the matching kind passes."""
+    real number. A bool is neither; a numpy scalar of the matching kind passes.
+    Each field that passes is stored as a Python ``int`` or ``float``."""
     for name in integers:
         value = getattr(record, name)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
+        settle(record, **{name: int(value)})
     for name in reals:
         value = getattr(record, name)
         if not is_real(value):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
         if not np.isfinite(value):
             raise ValidationError(f"{name} must be finite")
+        settle(record, **{name: float(value)})

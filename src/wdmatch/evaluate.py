@@ -26,7 +26,7 @@ from .data import (
     to_json,
     write_all,
 )
-from .errors import ConfigError, ValidationError, settle
+from .errors import ConfigError, ValidationError, check_numbers, settle
 from .model import HyperParams, classify_target
 from .optimizer import fit, train_anchor
 
@@ -88,6 +88,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        check_numbers(self, ("folds", "seed", "parallel"))
         if self.folds < 2:
             raise ConfigError("folds must be at least 2")
         if self.parallel < 1:

@@ -11,7 +11,7 @@ The mean-matching term is half the squared gap between the projected means.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -218,7 +218,8 @@ def hinge_subgradient(features, labels, classifier, weights=1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObjectiveTerms:
-    """The six weighted terms of the training objective; all nonnegative."""
+    """The six weighted terms of the training objective, all nonnegative;
+    ``total`` sums them in field order."""
 
     source_hinge: float
     target_hinge: float
@@ -229,14 +230,7 @@ class ObjectiveTerms:
 
     @property
     def total(self) -> float:
-        return (
-            self.source_hinge
-            + self.target_hinge
-            + self.adaptation
-            + self.weight_smoothness
-            + self.response_smoothness
-            + self.mean_matching
-        )
+        return sum(getattr(self, f.name) for f in fields(self))
 
     def as_dict(self) -> dict:
         return {**asdict(self), "total": self.total}
@@ -408,11 +402,5 @@ def objective(
     gap = theta @ problem.source_mean(weights.pi) - theta @ problem.target_mean
     mean_matching = hp.c3 * (0.5 * float(gap @ gap))
 
-    return ObjectiveTerms(
-        source_hinge=source_hinge,
-        target_hinge=target_hinge,
-        adaptation=adaptation,
-        weight_smoothness=weight_smoothness,
-        response_smoothness=response_smoothness,
-        mean_matching=mean_matching,
-    )
+    return ObjectiveTerms(source_hinge, target_hinge, adaptation,
+                          weight_smoothness, response_smoothness, mean_matching)

@@ -335,10 +335,6 @@ def fit(
     hp = HyperParams() if hp is None else hp
     if not isinstance(source, DomainDataset) or not isinstance(target, DomainDataset):
         raise ValidationError("fit expects DomainDataset inputs")
-    if hp.k > min(source.n, target.n) - 1:
-        raise ValidationError(
-            f"k={hp.k} needs at least {hp.k + 1} points in each domain"
-        )
 
     problem = Problem(
         source, target, hp, build_graph(source, hp.k), build_graph(target, hp.k)
@@ -351,7 +347,7 @@ def fit(
     zeros = np.zeros(source.dim)
     weights = SourceWeights.uniform(source.n, hp.delta)
     theta = solve_theta(problem, zeros, zeros, weights)
-    model = TransferModel(theta, solve_w(theta, zeros, zeros), zeros, zeros)
+    model = TransferModel(theta, np.zeros(theta.shape[0]), zeros, zeros)
     terms = objective(model, weights, problem)
     trace, term_trace, substeps = [], [], []
     duals = None

@@ -390,9 +390,7 @@ def _gradient_projection(problem, matvec, x, grad, at_lo, at_up):
 
 def _face_product(matvec, n, free):
     """d -> (H d')[free] on the face of the indices ``free`` of n, with d' equal
-    to d there and 0 elsewhere: ``matvec`` itself on a face of every coordinate."""
-    if free.size == n:
-        return matvec
+    to d there and 0 elsewhere."""
     full = np.zeros(n)
 
     def face_matvec(d):

@@ -7,7 +7,7 @@ import wdmatch.cli
 from wdmatch.cli import main
 from wdmatch.data import load_dataset
 from wdmatch.errors import ConvergenceError
-from wdmatch.model import TransferModel
+from wdmatch.model import HyperParams, TransferModel
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -313,6 +313,25 @@ class TestFitCommand:
         assert err.startswith("convergence failure: budget exhausted")
 
 
+@pytest.mark.parametrize("command, size", [
+    ("synth", "dim"), ("synth", "n"), ("fit", "n"), ("cv", "n"),
+])
+def test_oversized_synthetic_spec_exit_1(tmp_path, capsys, command, size):
+    # numpy refuses 10**20 before it allocates anything.
+    spec = {**synthetic_payload()["synthetic"], "translation": 0.5, size: 10**20}
+    if command == "synth":
+        argv = ["synth", "--spec", str(write_config(tmp_path, spec)),
+                "--out-prefix", str(tmp_path / "pair") + "/"]
+    else:
+        config = write_config(tmp_path, synthetic_payload(synthetic=spec))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "pair" / "out.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {'dim' if size == 'dim' else 'synthetic spec'} ")
+    assert "too large" in err and err.count("\n") == 1
+    assert not (tmp_path / "pair").exists()
+
+
 class TestSynthCommand:
     def test_round_trip_through_fit(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -385,6 +404,15 @@ class TestDumpGraphCommand:
             assert len(entry["neighbors"]) == 3
             assert int(i) not in entry["neighbors"]
             assert sum(entry["weights"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_k_defaults_to_the_fit_default(self, tmp_path):
+        data = tmp_path / "points.csv"
+        rows = ["1," + ",".join(map(str, row)) for row in np.random.default_rng(1).standard_normal((8, 2))]
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "graph.json"
+        assert main(["dump-graph", "--data", str(data), "--out", str(out)]) == 0
+        graph = json.loads(out.read_text())
+        assert {len(entry["neighbors"]) for entry in graph.values()} == {HyperParams().k}
 
 
 @pytest.mark.parametrize("fmt, content", [

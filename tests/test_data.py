@@ -1,6 +1,6 @@
 import json
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -341,6 +341,44 @@ class TestSyntheticPair:
     def test_spec_numbers_checked(self, change, message):
         with pytest.raises(ValidationError, match=message):
             SyntheticShiftSpec(**{"dim": 2, "samples": 10, "separation": 1.0, **change})
+
+    def test_oversized_spec_rejected(self):
+        # numpy refuses these sizes before it allocates anything.
+        with pytest.raises(ValidationError, match="^dim 10+ is too large for numpy"):
+            SyntheticShiftSpec(dim=10**20, samples=10, separation=1.0)
+        spec = SyntheticShiftSpec(dim=2, samples=10**20, separation=1.0)
+        with pytest.raises(ValidationError, match="^synthetic spec is too large: numpy "
+                                                  "cannot allocate 10+ samples of 2 features$"):
+            generate_synthetic_pair(spec)
+
+    def test_failed_allocation_rejected(self, monkeypatch):
+        # A MemoryError stands in for an allocation too large for this machine.
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        class ExhaustedGenerator:
+            standard_normal = staticmethod(exhausted)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "zeros", exhausted)
+            with pytest.raises(ValidationError, match="^dim 3 is too large for numpy"):
+                SyntheticShiftSpec(dim=3, samples=10, separation=1.0)
+        spec = SyntheticShiftSpec(dim=3, samples=10, separation=1.0)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ExhaustedGenerator())
+        with pytest.raises(ValidationError, match="^synthetic spec is too large"):
+            generate_synthetic_pair(spec)
+
+    def test_target_rotates_the_first_two_axes(self):
+        angle = 0.7
+        spec = SyntheticShiftSpec(dim=5, samples=50, separation=2.0, angle=angle, seed=4)
+        _, turned = generate_synthetic_pair(spec)
+        _, still = generate_synthetic_pair(replace(spec, angle=0.0))
+        np.testing.assert_array_equal(turned.features[:, 2:], still.features[:, 2:])
+        c, s = np.cos(angle), np.sin(angle)
+        rotation = np.array([[c, -s], [s, c]])
+        np.testing.assert_allclose(turned.features[:, :2], still.features[:, :2] @ rotation.T,
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(turned.labels, still.labels)
 
     def test_deterministic(self):
         spec = SyntheticShiftSpec(

@@ -271,6 +271,21 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=message):
             synthetic_config(**change)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"folds": 2.5}, "^folds must be an integer, got 2.5$"),
+        ({"folds": True}, "^folds must be an integer, got True$"),
+        ({"seed": 1.5}, "^seed must be an integer, got 1.5$"),
+        ({"parallel": 2.0}, "^parallel must be an integer, got 2.0$"),
+    ])
+    def test_non_integer_count_rejected(self, change, message):
+        with pytest.raises(ValidationError, match=message):
+            synthetic_config(**change)
+
+    def test_numpy_counts_stored_as_python_ints(self):
+        config = synthetic_config(folds=np.int64(3), seed=np.int32(4), parallel=np.int8(2))
+        assert [type(v) for v in (config.folds, config.seed, config.parallel)] == [int] * 3
+        assert (config.folds, config.seed, config.parallel) == (3, 4, 2)
+
     def test_json_round_trip(self):
         config = synthetic_config()
         back = from_json(ExperimentConfig, json.loads(json.dumps(to_json(config))))
@@ -388,6 +403,13 @@ class TestRunCV:
 
 
 class TestWriteReport:
+    def test_numpy_integer_hyperparameters_reach_the_report(self, tmp_path):
+        hp = HyperParams(outer_iters=np.int64(2), subgrad_iters=25, k=np.int64(3), r=2)
+        report = run_cv(synthetic_config(hp=hp, folds=2, baselines=()))
+        write_report(report, tmp_path / "report.json")
+        written = json.loads((tmp_path / "report.json").read_text())["config"]["hyperparams"]
+        assert (written["k"], written["outer_iters"]) == (3, 2)
+
     def test_writes_json_and_tsv(self, tmp_path):
         config = synthetic_config(baselines=("source-only",), folds=2)
         report = run_cv(config)

@@ -238,6 +238,11 @@ class TestHyperParams:
                          subgrad_iters=np.int16(4))
         assert (hp.r, hp.k, hp.outer_iters, hp.subgrad_iters) == (3, 5, 2, 4)
 
+    def test_numbers_stored_as_python_numbers(self):
+        hp = HyperParams(c1=2, c2=np.float32(0.5), r=np.int64(3), k=np.int16(4))
+        assert (type(hp.c1), type(hp.c2), type(hp.r), type(hp.k)) == (float, float, int, int)
+        assert (hp.c1, hp.c2, hp.r, hp.k) == (2.0, 0.5, 3, 4)
+
     def test_json_round_trip(self):
         hp = HyperParams(c1=0.5, r=4, tol=1e-5)
         assert from_json(HyperParams, to_json(hp)) == hp
