@@ -405,7 +405,10 @@ def _decode(hint, value, key: str):
     accepts, kind = _JSON_KINDS[hint]
     if not isinstance(value, accepts) or isinstance(value, bool) != (hint is bool):
         raise ConfigError(f"{key}: expected {kind}, got {value!r}")
-    return hint(value)
+    try:
+        return hint(value)
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"{key}: number too large") from None
 
 
 def to_json(record) -> dict:

@@ -65,6 +65,10 @@ def check_numbers(record, integers=(), reals=()):
         value = getattr(record, name)
         if not is_real(value):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            value = np.inf
         if not np.isfinite(value):
             raise ValidationError(f"{name} must be finite")
-        settle(record, **{name: float(value)})
+        settle(record, **{name: value})

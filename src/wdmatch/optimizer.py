@@ -283,6 +283,12 @@ class InstanceWeightHessian:
         smooth = self.graph.residual_adjoint(self.graph.residual(p))
         return 2.0 * self.c2 * smooth + self.basis @ (self.basis.T @ p)
 
+    def rounding(self, p: np.ndarray) -> float:
+        """The size of the terms that cancel inside ``matvec(p)``'s smoothness
+        part, about 8 c2 max|p|: at large c2 they leave a product far smaller
+        than the rounding they carry."""
+        return 8.0 * self.c2 * float(np.max(np.abs(p), initial=0.0))
+
 
 def solve_pi(problem: Problem, theta, phi, weights: SourceWeights) -> SourceWeights:
     """Instance-weight update as a box/sum QP, warm-started at the incumbent.

@@ -3,20 +3,20 @@
 Solves  minimize 0.5 x'Hx + f'x  subject to  lower <= x <= upper and, unless
 the problem is box-only, sum(x) = eq_target, with H symmetric positive
 semidefinite. H is a linear operator, an object whose ``matvec(x)`` returns
-Hx: the solver only ever asks for products, and :func:`_face_product` is the
-one place that restricts them to a face of free coordinates.
+Hx: the solver only ever asks for products.
 
 The method is GPCG (More & Toraldo, SIAM J. Optim. 1, 1991): projected
 gradient steps change many bounds at once, and conjugate gradients then
 minimize over the face those steps settle on. One projected Armijo search
 serves both phases: the gradient steps, and the last CG step on a face when
 it would leave the box. One KKT certificate serves both the stop test of
-each round and the final check. :func:`_gpcg` hands both phases one
-``matvec`` that counts its products into :attr:`QPSolution.iterations`. It is
-all built on the exact projection onto the feasible set. The sum constraint
-is read from ``problem.equalities`` in several places. Without it the
-projection is a clip; the multiplier, the :func:`_centre` shift and
-:func:`_sum_gap` are 0; :func:`_interior_start` starts at the box centre; and
+each round and the final check. :func:`_gpcg` hands both phases and every
+certificate one ``matvec``, the solve's only way to H, which counts its
+products into :attr:`QPSolution.iterations`. It is all built on the exact
+projection onto the feasible set. The sum constraint is read from
+``problem.equalities`` in several places. Without it the projection is a
+clip; the multiplier, the :func:`_centre` shift and :func:`_sum_gap` are 0;
+:func:`_interior_start` starts at the box centre; and
 :func:`_gradient_projection` and :func:`_face_cg` also move a face of one
 coordinate, which the sum would pin.
 """
@@ -95,9 +95,7 @@ class BoxEqQP:
 class QPSolution:
     """Solver output: feasible point, objective value and a KKT certificate.
 
-    ``iterations`` counts the Hessian products of GPCG's two phases. Not
-    counted are the KKT certificates' gradients and a warm start's objective,
-    which add one product per round and one per warm solve.
+    ``iterations`` counts every Hessian product of the solve.
     """
 
     x: np.ndarray
@@ -199,37 +197,44 @@ def _multiplier(problem, grad, at_lo, at_up) -> float:
     return float(0.5 * (lo + hi))
 
 
-def _certificate(problem, x, at_lo, at_up):
-    """KKT certificate of x for the partition into bound and free coordinates.
+def _certificate(problem, matvec, x, at_lo, at_up):
+    """KKT certificate of x for the partition into bound and free coordinates,
+    from one product with ``matvec``.
 
     Returns two absolute maxima, the free projected gradient |grad - lam| and
     the wrong-sign bound multiplier (lam - grad at a lower bound, grad - lam
     at an upper one; a pinned coordinate has no sign), then the gradient and
-    its scale: the largest of 1, max|grad| and ``_HX_ROUNDING * max|Hx| /
-    _STAT_TOL``. Below that last floor rounding in Hx alone would fail the
-    stop test, as at the optimum of a pi QP whose mean-matching term dwarfs
-    its gradient. Last comes Hx itself, from which x's objective follows.
+    its scale: the largest of 1, max|grad| and ``_HX_ROUNDING * rounding /
+    _STAT_TOL``, with ``rounding`` max|Hx| or the operator's ``rounding(x)``
+    where it has one and that is larger. Below that floor rounding in Hx alone
+    would fail the stop test, as at a pi QP's optimum where the mean-matching
+    term dwarfs the gradient, or the smoothness term at large c2 cancels to a
+    small Hx. Last comes x's objective, 0.5 x'Hx + f'x.
     """
-    h_x = problem.hess.matvec(x)
+    h_x = matvec(x)
     grad = h_x + problem.lin
     dual = grad - _multiplier(problem, grad, at_lo, at_up)
     free_gap = float(np.max(np.abs(dual[~(at_lo | at_up)]), initial=0.0))
     wrong_sign = float(np.max(np.where(at_lo, -dual, dual)[at_lo != at_up], initial=0.0))
-    scale = max(1.0, float(np.max(np.abs(grad), initial=0.0)),
-                _HX_ROUNDING * float(np.max(np.abs(h_x), initial=0.0)) / _STAT_TOL)
-    return free_gap, wrong_sign, grad, scale, h_x
+    rounding = float(np.max(np.abs(h_x), initial=0.0))
+    if hasattr(problem.hess, "rounding"):
+        rounding = max(rounding, problem.hess.rounding(x))
+    scale = max(1.0, float(np.max(np.abs(grad), initial=0.0)), _HX_ROUNDING * rounding / _STAT_TOL)
+    return free_gap, wrong_sign, grad, scale, float(0.5 * x @ h_x + problem.lin @ x)
 
 
 def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
     """Minimize the QP by GPCG.
 
     ``start`` must be feasible when given; the solver then never returns a
-    point with a larger objective. It stops once the free projected gradient
-    is within 1e-11, and every bound multiplier within 1e-10 of the right
-    sign, of the gradient scale: the largest gradient entry, at least 1 and
-    at least the rounding floor 2.2e-3 max|Hx|. The cap is ``50 * n``
-    Hessian products; if the KKT residual still exceeds 1e-6 of that scale
-    there, or is NaN, a :class:`ConvergenceError` is raised.
+    point with a larger objective than the start's, read once GPCG has put
+    coordinates within rounding of a bound onto it. It stops once the free
+    projected gradient is within 1e-11, and every bound multiplier within
+    1e-10 of the right sign, of the gradient scale: the largest gradient
+    entry, at least 1 and at least :func:`_certificate`'s rounding floor,
+    2.2e-3 max|Hx| or more. The cap is ``50 * n`` Hessian products,
+    certificates included; if the KKT residual still exceeds 1e-6 of that
+    scale there, or is NaN, a :class:`ConvergenceError` is raised.
     """
     n = problem.n
     lower, upper = problem.lower, problem.upper
@@ -245,18 +250,15 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
             raise ValidationError("start point is not feasible")
         if bound_gap > 0.0 or sum_gap > 1e-12 * max(1.0, abs(problem.eq_target or 0.0)):
             x = project_feasible(x, lower, upper, problem.eq_target)
-        start_objective = problem.objective(x)
-        ceiling = start_objective + 1e-9 * max(1.0, abs(start_objective))
 
-    x, iterations, (free_gap, wrong_sign, _, scale, h_x) = _gpcg(problem, x)
+    x, iterations, (free_gap, wrong_sign, _, scale, objective), first = _gpcg(problem, x)
     residual = max(free_gap, wrong_sign, _sum_gap(problem, x))
     if not residual <= _KKT_LIMIT * scale:  # a NaN residual certifies nothing
         raise ConvergenceError(
             f"GPCG stopped after {iterations} Hessian products with "
             f"KKT residual {residual:.3e}"
         )
-    objective = float(0.5 * x @ h_x + problem.lin @ x)  # problem.objective(x), from its Hx
-    if start is not None and objective > ceiling:
+    if start is not None and objective > first + 1e-9 * max(1.0, abs(first)):
         raise ConvergenceError("solver ended above the warm-start objective")
     return QPSolution(x=x, objective=objective, iterations=iterations, kkt_residual=residual)
 
@@ -276,8 +278,9 @@ def _gpcg(problem, x):
     released only by projected gradient steps taken where CG stopped inside
     its face, so ill-conditioned faces cannot make a bound zigzag on and off.
     A round that finds the product cap spent stops after its certificate.
-    Returns the final point, the count of the phases' ``matvec`` and the
-    certificate of that point, the last round's.
+    Returns the final point, the count of ``matvec``'s products, the
+    certificate of that point, the last round's, and the objective of the
+    first round's point: x after its snap.
     """
     products = 0
 
@@ -288,15 +291,16 @@ def _gpcg(problem, x):
 
     lower, upper = problem.lower, problem.upper
     max_iter = 50 * problem.n
-    blocked = False
+    blocked, first = False, None
     widths = np.maximum(1.0, upper - lower)
     while True:
         snap = 1e-12 * np.minimum(widths, np.max(np.abs(x), initial=0.0))
         x = np.where(x - lower <= snap, lower, x)
         x = np.where(upper - x <= snap, upper, x)
         at_lo, at_up = x <= lower, x >= upper
-        certificate = _certificate(problem, x, at_lo, at_up)
-        free_gap, wrong_sign, grad, scale, _ = certificate
+        certificate = _certificate(problem, matvec, x, at_lo, at_up)
+        free_gap, wrong_sign, grad, scale, objective = certificate
+        first = objective if first is None else first
         converged = free_gap <= _STAT_TOL * scale and wrong_sign <= _MULT_TOL * scale
         if converged or products >= max_iter:
             break
@@ -308,7 +312,7 @@ def _gpcg(problem, x):
         x, blocked = _face_cg(problem, matvec, x, grad, free, _STAT_TOL * scale, changed)
         if projected and np.array_equal(x, before):
             break
-    return x, products, certificate
+    return x, products, certificate, first
 
 
 def _projected_search(x, direction, alpha, grad, matvec, lower, upper, total, floor):
@@ -388,17 +392,6 @@ def _gradient_projection(problem, matvec, x, grad, at_lo, at_up):
     return x, grad, at_lo, at_up, not np.array_equal(start, (at_lo, at_up))
 
 
-def _face_product(matvec, n, free):
-    """d -> (H d')[free] on the face of the indices ``free`` of n, with d' equal
-    to d there and 0 elsewhere."""
-    full = np.zeros(n)
-
-    def face_matvec(d):
-        full[free] = d
-        return matvec(full)[free]
-    return face_matvec
-
-
 def _face_cg(problem, matvec, x, grad, free, tol, early_stop):
     """Conjugate gradients over the face ``free`` of x, the indices at neither
     bound as in the certificate, at fixed sum under a sum constraint.
@@ -423,7 +416,12 @@ def _face_cg(problem, matvec, x, grad, free, tol, early_stop):
     resid = _centre(problem, face_grad) - face_grad
     direction = resid.copy()
     rr = float(resid @ resid)
-    face_matvec = _face_product(matvec, problem.n, free)
+    full = np.zeros(problem.n)
+
+    def face_matvec(d):  # (H d')[free], d' being d on the face and 0 elsewhere
+        full[free] = d
+        return matvec(full)[free]
+
     steps, best = 0, 0.0
     while rr > tol * tol and steps < 2 * free.size + 10:
         h_dir = face_matvec(direction)

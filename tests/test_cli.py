@@ -210,6 +210,13 @@ class TestFitCommand:
         assert err.startswith("error: c1 must be finite") and "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_integer_past_the_float_range_exit_1(self, tmp_path, capsys):
+        # A 401-digit JSON integer for a float field cannot become a float.
+        config = write_config(tmp_path, synthetic_payload(hyperparams={"c1": 10**400}))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == "error: hyperparams.c1: number too large\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_zero_rank_exit_1(self, tmp_path, capsys):
         config = write_config(tmp_path, synthetic_payload(hyperparams={"r": 0}))
         assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 1
@@ -290,6 +297,17 @@ class TestFitCommand:
         # so rounding in them alone would fail a stop test scaled by the gradient.
         hyperparams = {**synthetic_payload()["hyperparams"], "c3": c3}
         config = write_config(tmp_path, synthetic_payload(hyperparams=hyperparams))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 0
+        assert (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("c2", [1e10, 1e12, 1e20], ids=["1e10", "1e12", "1e20"])
+    def test_large_c2_fits(self, tmp_path, c2):
+        # At large c2 the pi QP's smoothness products cancel to a small Hx
+        # whose rounding alone would fail a stop test scaled by max|Hx|.
+        # CI's pair: the spec and hyperparameters of its entry-point step.
+        spec = {"dim": 3, "n": 40, "separation": 6.0, "angle": 0.3, "seed": 3}
+        hyperparams = {"c2": c2, "outer_iters": 3, "subgrad_iters": 20, "k": 3, "r": 2}
+        config = write_config(tmp_path, synthetic_payload(synthetic=spec, hyperparams=hyperparams))
         assert main(["fit", "--config", str(config), "--out", str(tmp_path / "m.json")]) == 0
         assert (tmp_path / "m.json").exists()
 
@@ -374,6 +392,14 @@ class TestSynthCommand:
             path.write_text(json.dumps(spec))
         assert main(["synth", "--spec", str(path), "--out-prefix", str(tmp_path) + "/"]) == 1
         assert capsys.readouterr().err.startswith(message)
+
+    def test_integer_past_the_float_range_exit_1(self, tmp_path, capsys):
+        # A 401-digit JSON integer for a float field cannot become a float.
+        spec = write_config(tmp_path, {**synthetic_payload()["synthetic"], "angle": 10**400})
+        prefix = str(tmp_path / "pair") + "/"
+        assert main(["synth", "--spec", str(spec), "--out-prefix", prefix]) == 1
+        assert capsys.readouterr().err == "error: angle: number too large\n"
+        assert not (tmp_path / "pair").exists()
 
     def test_sparse_format_writes_svm_files(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -233,6 +233,12 @@ class TestHyperParams:
         with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
             HyperParams(**{name: value})
 
+    def test_integer_past_the_float_range_rejected(self):
+        # float(10**400) overflows, and numpy's isfinite refuses a Python int
+        # that large; the field is named instead.
+        with pytest.raises(ValidationError, match="^c1 must be finite$"):
+            HyperParams(c1=10**400)
+
     def test_numpy_integer_count_accepted(self):
         hp = HyperParams(r=np.int64(3), k=np.int64(5), outer_iters=np.int32(2),
                          subgrad_iters=np.int16(4))

@@ -37,60 +37,68 @@ def low_rank_box_problem(seed, n=8, m=3):
     return BoxEqQP(MatrixOperator(rows @ rows.T), lin, np.zeros(n), upper, None)
 
 
+def hinge_dual_problem(seed):
+    """A box-only QP over a hinge dual's operator, with a planted minimizer."""
+    hess, lin, upper, _ = planted_box_qp(seed, 40, 5, free=[2, 9, 30])
+    return BoxEqQP(hess, lin, np.zeros(upper.size), upper, None)
+
+
 class TestProductCount:
     """``QPSolution.iterations`` of cold solves on fixed small QPs, exactly.
 
     Between them the solves take projected gradient steps, end CG through its
     projected search, and (the box-only one) end it through the bound step
-    that follows a search with no point. A product left uncounted, or counted
-    twice, changes a figure (measured with numpy 2.4.6 and OpenBLAS on x86-64).
+    that follows a search with no point. Each round's KKT certificate takes a
+    product too. A product left uncounted, or counted twice, changes a figure
+    (measured with numpy 2.4.6 and OpenBLAS on x86-64).
     """
 
     PINNED = pytest.mark.parametrize("problem, products", [
-        (lambda: random_problem(3), 8),
-        (lambda: random_problem(39), 14),
-        (lambda: low_rank_box_problem(8), 28),
+        (lambda: random_problem(3), 11),
+        (lambda: random_problem(39), 18),
+        (lambda: low_rank_box_problem(8), 33),
     ], ids=["sum-3", "sum-39", "box-8"])
 
     @PINNED
     def test_hessian_products(self, problem, products):
         assert solve_qp(problem()).iterations == products
 
-    @PINNED
-    def test_uncounted_products(self, problem, products, monkeypatch):
-        # Beyond the phases' products, each KKT certificate takes one and a
-        # warm start's objective one; the solution is scored from the last
-        # certificate.
-        qp, certificate = problem(), wdmatch.qp._certificate
-        calls, certificates = [], []
+    @pytest.mark.parametrize("problem", [
+        lambda: random_problem(3),
+        lambda: pi_shaped(5, 30, 3.0, 1.0, 1.0)[0],
+        lambda: hinge_dual_problem(631),
+    ], ids=["dense", "pi", "hinge-dual"])
+    def test_every_product_counted(self, problem):
+        # A spy on the operator sees exactly the products the solution reports,
+        # on a cold solve and on one warm-started at a random feasible point:
+        # the certificates' and the start's objective come through the counter.
+        qp = problem()
 
         class Spy:
+            calls = 0
+
             def matvec(self, v):
-                calls.append(v)
+                self.calls += 1
                 return qp.hess.matvec(v)
 
-        def counted(*args):
-            certificates.append(args)
-            return certificate(*args)
+            def __getattr__(self, name):  # the operator's rounding bound, if any
+                return getattr(qp.hess, name)
 
-        monkeypatch.setattr(wdmatch.qp, "_certificate", counted)
-        spied = BoxEqQP(Spy(), qp.lin, qp.lower, qp.upper, qp.eq_target)
-        sol = solve_qp(spied)
-        assert sol.iterations == products
-        assert len(calls) == sol.iterations + len(certificates) + 0
-        calls.clear()
-        certificates.clear()
-        warm = solve_qp(spied, wdmatch.qp._interior_start(qp))
-        assert len(calls) == warm.iterations + len(certificates) + 1
+        spy = Spy()
+        spied = BoxEqQP(spy, qp.lin, qp.lower, qp.upper, qp.eq_target)
+        z = np.random.default_rng(0).uniform(qp.lower, qp.upper)
+        for start in (None, project_feasible(z, qp.lower, qp.upper, qp.eq_target)):
+            spy.calls = 0
+            assert solve_qp(spied, start).iterations == spy.calls > 0
 
     @PINNED
     def test_no_point_certified_twice(self, problem, products, monkeypatch):
         # The solve reuses GPCG's last certificate, whose point it returns.
         certificate, points = wdmatch.qp._certificate, []
 
-        def spy(problem, x, at_lo, at_up):
+        def spy(problem, matvec, x, at_lo, at_up):
             points.append(x)
-            return certificate(problem, x, at_lo, at_up)
+            return certificate(problem, matvec, x, at_lo, at_up)
 
         monkeypatch.setattr(wdmatch.qp, "_certificate", spy)
         sol = solve_qp(problem())
@@ -106,7 +114,8 @@ class TestProductCount:
         sol = solve_qp(problem)
         assert sol.iterations >= 50 * problem.n
         at_lo, at_up = sol.x <= problem.lower, sol.x >= problem.upper
-        free_gap, wrong_sign, *_ = wdmatch.qp._certificate(problem, sol.x, at_lo, at_up)
+        free_gap, wrong_sign, *_ = wdmatch.qp._certificate(
+            problem, problem.hess.matvec, sol.x, at_lo, at_up)
         assert sol.kkt_residual == max(free_gap, wrong_sign, abs(sol.x.sum() - problem.eq_target))
         assert sol.objective == problem.objective(sol.x)
 
@@ -283,11 +292,13 @@ class TestSolutionCertificates:
 
     def test_point_above_the_warm_start_refused(self, monkeypatch):
         # A certificate within its 1e-6 limit can still sit above the start:
-        # min 1e-7 x over [0, 1], started at x = 0 and certified at x = 1.
+        # min 1e-7 x over [0, 1], started at x = 0, of objective 0, and
+        # certified at x = 1.
         problem = BoxEqQP(MatrixOperator(np.zeros((1, 1))), [1e-7], [0.0], [1.0], None)
         top = np.ones(1)
-        certified = wdmatch.qp._certificate(problem, top, top <= 0.0, top >= 1.0)
-        monkeypatch.setattr(wdmatch.qp, "_gpcg", lambda problem, x: (top, 0, certified))
+        certified = wdmatch.qp._certificate(
+            problem, problem.hess.matvec, top, top <= 0.0, top >= 1.0)
+        monkeypatch.setattr(wdmatch.qp, "_gpcg", lambda problem, x: (top, 2, certified, 0.0))
         with pytest.raises(ConvergenceError,
                            match="^solver ended above the warm-start objective$"):
             solve_qp(problem, start=[0.0])
