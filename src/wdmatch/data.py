@@ -401,6 +401,8 @@ def _decode(hint, value, key: str):
         if not isinstance(value, list):
             raise ConfigError(f"{key}: expected a list, got {value!r}")
         item = typing.get_args(hint)[0]
+        if item is float and all(type(v) is float for v in value):  # a model file's arrays
+            return tuple(value)
         return tuple(_decode(item, v, f"{key}[{i}]") for i, v in enumerate(value))
     accepts, kind = _JSON_KINDS[hint]
     if not isinstance(value, accepts) or isinstance(value, bool) != (hint is bool):
@@ -418,6 +420,8 @@ def to_json(record) -> dict:
 
 
 def _encode(value):
+    if isinstance(value, float):  # first: a model file holds thousands
+        return value
     if is_dataclass(value):
         return to_json(value)
     if isinstance(value, tuple):

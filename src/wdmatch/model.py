@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import DomainDataset
+from .data import DomainDataset, from_json, to_json
 from .errors import ValidationError, check_numbers, settle
 from .neighborhood import NeighborhoodGraph
 from .qp import BoxEqQP, solve_qp
@@ -77,33 +77,33 @@ class TransferModel:
         return self.psi - self.theta.T @ self.w
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "m": self.m,
-            "theta": [float(v) for v in self.theta.ravel()],
-            "w": [float(v) for v in self.w],
-            "phi": [float(v) for v in self.phi],
-            "psi": [float(v) for v in self.psi],
-        }
+        """The model file's ``model`` object, in the schema of :class:`_ModelFile`."""
+        flat = (tuple(a.ravel().tolist()) for a in (self.theta, self.w, self.phi, self.psi))
+        return to_json(_ModelFile(self.r, self.m, *flat))
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TransferModel":
         """The model of a :meth:`to_json_dict` payload; a malformed one raises
-        :class:`ValidationError`."""
-        try:
-            r, m = payload["r"], payload["m"]
-            for key, size in (("r", r), ("m", m)):
-                # A JSON integer only: int() truncates 2.9, reshape infers -1.
-                if type(size) is not int or size < 1:
-                    raise ValueError(f"{key} must be a positive integer, not {size!r}")
-            theta, w, phi, psi = (np.asarray(payload[key], dtype=np.float64)
-                                  for key in ("theta", "w", "phi", "psi"))
-            theta = theta.reshape(r, m)
-        except KeyError as exc:
-            raise ValidationError(f"model is missing {exc.args[0]}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed model: {exc}") from None
-        return cls(theta, w, phi, psi)
+        :class:`ValidationError` naming its key."""
+        record = from_json(_ModelFile, payload, "model")
+        r, m = record.r, record.m
+        if min(r, m) < 1 or len(record.theta) != r * m:
+            raise ValidationError(f"model: expected positive r and m and r x m theta values, "
+                                  f"got r={r}, m={m} and {len(record.theta)} values")
+        return cls(np.reshape(record.theta, (r, m)), record.w, record.phi, record.psi)
+
+
+@dataclass(frozen=True)
+class _ModelFile:
+    """The JSON schema of a :class:`TransferModel`: its shape, theta's rows
+    concatenated, then w, phi and psi."""
+
+    r: int
+    m: int
+    theta: tuple[float, ...]
+    w: tuple[float, ...]
+    phi: tuple[float, ...]
+    psi: tuple[float, ...]
 
 
 @dataclass(frozen=True)

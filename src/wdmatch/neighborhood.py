@@ -137,8 +137,7 @@ def build_knn(dataset, k: int) -> np.ndarray:
         picked = np.take_along_axis(picked, order, axis=1)
         kth = picked_dists.max(axis=1, keepdims=True)
         tied = np.flatnonzero(np.count_nonzero(dists <= kth, axis=1) != k)
-        if tied.size:
-            picked[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
+        picked[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
         neighbors[lo:hi] = picked
     return neighbors
 

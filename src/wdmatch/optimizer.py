@@ -141,17 +141,14 @@ def min_trace_rows(terms, m: int, r: int) -> np.ndarray:
         if norm > 1e-12 * max(1.0, float(np.linalg.norm(vec))):
             basis.append(resid / norm)
 
-    values = np.zeros(0)
-    vectors = np.zeros((m, 0))
-    if basis:
-        span = np.array(basis).T  # m x p, orthonormal columns
-        p = span.shape[1]
-        compressed = np.zeros((p, p))
-        for coef, vec in cleaned:
-            coords = span.T @ vec
-            compressed += coef * np.outer(coords, coords)
-        values, evecs = np.linalg.eigh(compressed)
-        vectors = span @ evecs
+    span = np.array(basis).reshape(-1, m).T  # m x p, orthonormal columns
+    p = span.shape[1]
+    compressed = np.zeros((p, p))
+    for coef, vec in cleaned:
+        coords = span.T @ vec
+        compressed += coef * np.outer(coords, coords)
+    values, evecs = np.linalg.eigh(compressed)
+    vectors = span @ evecs
     need = min(r, m - vectors.shape[1])
     completed, _ = np.linalg.qr(np.hstack([vectors, np.eye(m, need)]))
     completed[:, : vectors.shape[1]] = vectors  # Q has them up to sign and rounding

@@ -232,9 +232,9 @@ def solve_qp(problem: BoxEqQP, start: np.ndarray | None = None) -> QPSolution:
     projected gradient is within 1e-11, and every bound multiplier within
     1e-10 of the right sign, of the gradient scale: the largest gradient
     entry, at least 1 and at least :func:`_certificate`'s rounding floor,
-    2.2e-3 max|Hx| or more. The cap is ``50 * n`` Hessian products,
-    certificates included; if the KKT residual still exceeds 1e-6 of that
-    scale there, or is NaN, a :class:`ConvergenceError` is raised.
+    2.2e-3 max|Hx| or more. The cap is ``50 * n`` Hessian products beyond
+    one certificate per GPCG round; if the KKT residual still exceeds 1e-6
+    of that scale there, or is NaN, a :class:`ConvergenceError` is raised.
     """
     n = problem.n
     lower, upper = problem.lower, problem.upper
@@ -277,7 +277,9 @@ def _gpcg(problem, x):
     the next round goes straight back to CG on the smaller face: bounds are
     released only by projected gradient steps taken where CG stopped inside
     its face, so ill-conditioned faces cannot make a bound zigzag on and off.
-    A round that finds the product cap spent stops after its certificate.
+    A round that finds the product cap spent stops after its certificate; the
+    cap is ``50 * n`` products besides the rounds' certificates, so that a
+    problem of few coordinates is not stopped by its certificates alone.
     Returns the final point, the count of ``matvec``'s products, the
     certificate of that point, the last round's, and the objective of the
     first round's point: x after its snap.
@@ -291,7 +293,7 @@ def _gpcg(problem, x):
 
     lower, upper = problem.lower, problem.upper
     max_iter = 50 * problem.n
-    blocked, first = False, None
+    blocked, first, rounds = False, None, 0
     widths = np.maximum(1.0, upper - lower)
     while True:
         snap = 1e-12 * np.minimum(widths, np.max(np.abs(x), initial=0.0))
@@ -299,10 +301,11 @@ def _gpcg(problem, x):
         x = np.where(upper - x <= snap, upper, x)
         at_lo, at_up = x <= lower, x >= upper
         certificate = _certificate(problem, matvec, x, at_lo, at_up)
+        rounds += 1
         free_gap, wrong_sign, grad, scale, objective = certificate
         first = objective if first is None else first
         converged = free_gap <= _STAT_TOL * scale and wrong_sign <= _MULT_TOL * scale
-        if converged or products >= max_iter:
+        if converged or products - rounds >= max_iter:
             break
         before, projected, changed = x, not blocked, False
         if projected:

@@ -140,16 +140,24 @@ class TestTransferModel:
         np.testing.assert_array_equal(back.psi, model.psi)
 
     @pytest.mark.parametrize("change, message", [
-        ({"psi": None}, "^model is missing psi$"),
-        ({"r": 3, "m": 2}, r"^malformed model: cannot reshape array of size 4 "
-                           r"into shape \(3,\s?2\)$"),
-        ({"theta": ["a", 0.0, 0.0, 1.0]}, "^malformed model: could not convert string"),
-        ({"r": -1, "m": -2}, "^malformed model: r must be a positive integer, not -1$"),
-        ({"m": -2}, "^malformed model: m must be a positive integer, not -2$"),
-        ({"r": 2.9}, r"^malformed model: r must be a positive integer, not 2\.9$"),
-        ({"r": "2"}, "^malformed model: r must be a positive integer, not '2'$"),
-        ({"m": True}, "^malformed model: m must be a positive integer, not True$"),
-    ])
+        ({"psi": None}, "^model.psi: required key is missing$"),
+        ({"r": 3, "m": 2}, "^model: expected positive r and m and r x m theta values, "
+                           "got r=3, m=2 and 4 values$"),
+        ({"theta": ["a", 0.0, 0.0, 1.0]}, r"^model.theta\[0\]: expected a number, got 'a'$"),
+        ({"r": -1, "m": -2}, "^model: expected positive r and m and r x m theta values, "
+                             "got r=-1, m=-2 and 4 values$"),
+        ({"m": -2}, "^model: expected positive r and m and r x m theta values, "
+                    "got r=2, m=-2 and 4 values$"),
+        ({"r": 2.9}, r"^model.r: expected an integer, got 2\.9$"),
+        ({"r": "2"}, "^model.r: expected an integer, got '2'$"),
+        ({"m": True}, "^model.m: expected an integer, got True$"),
+        ({"bias": 0.0}, r"^model: unknown keys \['bias'\]$"),
+        ({"theta": [[1.0, 0.0], [0.0, 1.0]]},
+         r"^model.theta\[0\]: expected a number, got \[1\.0, 0\.0\]$"),
+        ({"w": [True, 0.0]}, r"^model.w\[0\]: expected a number, got True$"),
+    ], ids=["missing-psi", "theta-size", "string-entry", "negative-r-m", "negative-m",
+            "fractional-r", "string-r", "bool-m", "unknown-key", "nested-theta",
+            "true-entry"])
     def test_malformed_payload_rejected(self, change, message):
         payload = TransferModel(np.eye(2), [0.0, 0.0], [1.0, 2.0], [3.0, 4.0]).to_json_dict()
         payload.update(change)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wdmatch import neighborhood
-from wdmatch.errors import ValidationError
+from wdmatch.errors import ConvergenceError, ValidationError
 from wdmatch.neighborhood import (
     NeighborhoodGraph,
     _scaled_grams,
@@ -166,6 +166,15 @@ class TestSolveReconstruction:
         np.testing.assert_array_equal(
             solve_reconstruction(point, nbrs), solve_reconstruction(point, nbrs)
         )
+
+    def test_unfinished_rows_raise(self, monkeypatch):
+        # With every zero weight released at once, the point past both of its
+        # neighbors makes the active set cycle: the unconstrained weights
+        # (2, -1) block at the second, which is then released again.
+        monkeypatch.setattr(neighborhood, "_MULT_TOL", -np.inf)
+        with pytest.raises(ConvergenceError, match="^reconstruction weights of 1 points "
+                                                   "unfinished after 100 active-set rounds$"):
+            solve_reconstruction([0.0], [[1.0], [2.0]])
 
 
 def gpcg_reconstruction(point, neighbors):

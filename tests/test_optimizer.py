@@ -731,6 +731,17 @@ class TestFit:
         records = [e for e in state.substeps if e["step"] == "phi_psi"]
         assert records and all(e["dual_kkt"] != (None, None) for e in records)
 
+    def test_few_row_dual_is_not_capped_by_its_certificates(self, caplog):
+        # Draw 4's target dual has 4 rows, so a cap of 50 n products that also
+        # counted each round's certificate stopped it short at c1 = 1e-11; it
+        # then fell back to the halving search and ended at 1.822.
+        source, target = generate_synthetic_pair(rotated_benchmark_spec(4, 40, 60))
+        hp = dataclasses.replace(benchmark_hyperparams(), c1=1e-11)
+        with caplog.at_level(logging.WARNING, logger="wdmatch.optimizer"):
+            state = fit(source, target, hp)
+        assert not [r for r in caplog.records if "not certified" in r.getMessage()]
+        assert state.objective_trace[-1] < 1.3
+
     @pytest.mark.parametrize("n, m, c1", [
         (200, 20, 1.0), (40, 60, 1.0), (200, 20, 0.0), (400, 10, 0.3),
     ])

@@ -348,6 +348,14 @@ class TestProjection:
                 best = np.min(np.linalg.norm(cands[feas] - z, axis=1))
                 assert np.linalg.norm(x - z) <= best + 1e-3
 
+    def test_breakpoints_that_round_together(self):
+        # At z = 1e17 both breakpoints z - 3 and z - 0 round to 1e17, so the
+        # clipped sum has no segment that reaches the target: the shift lands
+        # on the breakpoint, and the sum is off by no more than z's rounding.
+        z = np.array([1e17])
+        x = project_feasible(z, np.zeros(1), np.full(1, 3.0), 1.5)
+        assert 0.0 <= x[0] <= 3.0
+        assert abs(x.sum() - 1.5) <= np.spacing(z[0])
 
 def old_projection(z, lower, upper, eq_target):
     """The (2n x n) clipped-sum formula the breakpoint search replaced."""
@@ -543,6 +551,19 @@ class TestGPCG:
         assert certificate_holds(problem, sol.x)
         assert frank_wolfe_gap(problem, sol.x) <= 1e-12
         assert sol.kkt_residual <= 1e-11
+
+    def test_face_cg_declines_a_bound_step_that_ascends(self):
+        # Handed a stale gradient of the wrong sign, CG heads uphill to a
+        # bound; the true gradient refuses both the projected search and the
+        # step to the bound, so x is returned as it was.
+        problem = BoxEqQP(MatrixOperator(np.eye(2)), [-10.0, -10.0], np.zeros(2),
+                          np.ones(2), None)
+        x = np.array([0.5, 0.5])
+        stale = -(x + problem.lin)
+        moved, blocked = wdmatch.qp._face_cg(problem, problem.hess.matvec, x, stale,
+                                             np.arange(2), 1e-12, False)
+        np.testing.assert_array_equal(moved, x)
+        assert not blocked
 
 
 class ScaledOperator:
